@@ -25,6 +25,7 @@ from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
 from repro.cache.hierarchy import MISS, CacheHierarchy
 from repro.cache.line import key_address, key_orientation, line_key_from_index
+from repro.cpu.replaykernel import kernel_eligible, run_kernel
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import (
     LINE_BARRIER,
@@ -41,17 +42,6 @@ from repro.memsim.system import MemorySystem
 from repro.obs import tracer as obs
 
 _ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
-
-#: Replay engine selection for :class:`Machine` (and the ``Database``
-#: that owns one).  All three produce bit-for-bit identical results on
-#: any trace (``tests/test_replay_equivalence.py``):
-#:
-#: * ``precise`` — one Python ``Access`` at a time; the oracle.
-#: * ``batched`` — per-line loop over finalized SoA arrays (PR 2).
-#: * ``kernel`` — whole-trace flat-integer replay
-#:   (:mod:`repro.cpu.replaykernel`) for eligible traces, falling back
-#:   to ``batched`` otherwise.
-REPLAY_MODES = ("precise", "batched", "kernel")
 
 
 @dataclass
@@ -96,16 +86,10 @@ class RunResult:
 class Machine:
     """One core in front of a cache hierarchy and a memory system."""
 
-    def __init__(self, memory: MemorySystem, hierarchy: CacheHierarchy, window=8,
-                 replay_mode="batched"):
-        if replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown replay mode {replay_mode!r}; expected one of {REPLAY_MODES}"
-            )
+    def __init__(self, memory: MemorySystem, hierarchy: CacheHierarchy, window=8):
         self.memory = memory
         self.hierarchy = hierarchy
         self.window = window
-        self.replay_mode = replay_mode
         self._hit_costs = [0] + [level.hit_latency for level in hierarchy.levels[1:]]
         self._llc_latency = hierarchy.llc.hit_latency
 
@@ -115,12 +99,16 @@ class Machine:
 
         A :class:`~repro.cpu.tracebuffer.TraceBuffer` (or an
         already-finalized :class:`~repro.cpu.tracebuffer.FinalizedTrace`)
-        takes the batched fast path over its per-line arrays; any other
-        iterable of :class:`~repro.cpu.trace.Access` takes the precise
-        per-access path.  All paths produce bit-for-bit identical
-        :class:`RunResult`s — the fast paths replay the same per-line
-        decisions in the same order, they just precompute everything that
-        does not depend on cache or controller state (see
+        replays through the whole-trace kernel
+        (:mod:`repro.cpu.replaykernel`) when
+        :func:`~repro.cpu.replaykernel.kernel_eligible` admits it, and
+        through the batched per-line loop otherwise; any other iterable
+        of :class:`~repro.cpu.trace.Access` takes the precise per-access
+        path, the reference the other two are tested against.  All paths
+        produce bit-for-bit identical :class:`RunResult`s and simulator
+        end state — the fast paths replay the same per-line decisions in
+        the same order, they just precompute everything that does not
+        depend on cache or controller state (see
         ``tests/test_replay_equivalence``).
 
         ``stream`` overrides the trace's tenant stream tag for this run
@@ -131,14 +119,26 @@ class Machine:
         if stream is None:
             stream = getattr(trace, "stream", 0)
         with obs.span("machine.run") as sp:
-            if self.replay_mode != "precise" and isinstance(
-                trace, (TraceBuffer, FinalizedTrace)
-            ):
+            if isinstance(trace, (TraceBuffer, FinalizedTrace)):
                 fin = (
                     trace.finalize() if isinstance(trace, TraceBuffer) else trace
                 )
-                if self.replay_mode == "kernel":
-                    result = self._run_kernel(fin, stream)
+                # The precise path raises on the first column/gather line
+                # to miss; on the fresh caches of a run such a line always
+                # misses (it can never have been filled — the fill sits
+                # behind this very check), so checking the whole trace up
+                # front is equivalent.
+                memory = self.memory
+                if fin.has_column and not memory.supports_column:
+                    raise CapabilityError(
+                        f"{memory.name} does not support column accesses"
+                    )
+                if fin.has_gather and not memory.supports_gather:
+                    raise CapabilityError(
+                        f"{memory.name} does not support gathered accesses"
+                    )
+                if kernel_eligible(self, fin, stream):
+                    result = run_kernel(self, fin)
                 else:
                     result = self._run_batched(fin, stream)
             else:
@@ -160,26 +160,6 @@ class Machine:
                     },
                 )
             return result
-
-    def _run_kernel(self, fin, stream=0) -> RunResult:
-        """Replay via the flat-integer whole-trace kernel when the trace
-        and current simulator state admit it; otherwise fall back to the
-        batched per-line loop (same result either way — the kernel's
-        eligibility test is exactly the set of cases it can reproduce
-        bit for bit; see :mod:`repro.cpu.replaykernel`)."""
-        from repro.cpu.replaykernel import kernel_eligible, run_kernel
-
-        if fin.has_column and not self.memory.supports_column:
-            raise CapabilityError(
-                f"{self.memory.name} does not support column accesses"
-            )
-        if fin.has_gather and not self.memory.supports_gather:
-            raise CapabilityError(
-                f"{self.memory.name} does not support gathered accesses"
-            )
-        if kernel_eligible(self, fin, stream):
-            return run_kernel(self, fin)
-        return self._run_batched(fin, stream)
 
     def _run_precise(self, trace, stream=0) -> RunResult:
         result = RunResult()
@@ -256,7 +236,9 @@ class Machine:
         return result
 
     def _run_batched(self, fin, stream=0) -> RunResult:
-        """Replay a finalized structure-of-arrays trace.
+        """Replay a finalized structure-of-arrays trace (the fallback for
+        traces the kernel cannot take; :meth:`run` has already checked
+        the memory system's column/gather capability).
 
         The per-line work that does not depend on simulator state — line
         splitting, key packing, write word masks, address decode — was
@@ -284,16 +266,6 @@ class Machine:
         window = self.window
         llc_latency = self._llc_latency
         hit_costs = self._hit_costs
-
-        # The precise path raises on the first column/gather line to
-        # miss; on the fresh caches of a run such a line always misses
-        # (it can never have been filled — the fill sits behind this
-        # very check), so checking the whole trace up front is
-        # equivalent.
-        if fin.has_column and not memory.supports_column:
-            raise CapabilityError(f"{memory.name} does not support column accesses")
-        if fin.has_gather and not memory.supports_gather:
-            raise CapabilityError(f"{memory.name} does not support gathered accesses")
 
         lkeys, lgaps, lspecials, lmasks, laccs, lorients = fin.replay_lists()
         dch, drk, dbk, dsa, drow, dcol = fin.decoded_for(memory.mapper)

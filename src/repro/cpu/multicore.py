@@ -104,24 +104,10 @@ class MulticoreMachine:
         l1_latency=4,
         llc_latency=38,
         window=8,
-        replay_mode="batched",
     ):
-        # The multicore model interleaves cores one access at a time (the
-        # heap picks the laggard core each step), so the whole-trace
-        # "kernel" mode has no separate implementation here: it means the
-        # same SoA-cursor stepping "batched" uses.  The parameter is
-        # accepted and validated so callers can thread one knob through
-        # both machine models; only "precise" changes behaviour.
-        from repro.cpu.machine import REPLAY_MODES
-
-        if replay_mode not in REPLAY_MODES:
-            raise ValueError(
-                f"unknown replay mode {replay_mode!r}; expected one of {REPLAY_MODES}"
-            )
         self.memory = memory
         self.n_cores = n_cores
         self.window = window
-        self.replay_mode = replay_mode
         self.llc_latency = llc_latency
         privates = [
             Cache(f"L1-{core}", l1_kib * 1024, ways, l1_latency)
@@ -153,9 +139,8 @@ class MulticoreMachine:
         memory = self.memory
         cursors = []
         iterators = []
-        soa = self.replay_mode != "precise"
         for trace, stream in zip(traces, streams):
-            if soa and isinstance(trace, TraceBuffer):
+            if isinstance(trace, TraceBuffer):
                 fin = trace.finalize()
                 # Same errors the precise path raises on the first
                 # offending line to miss (which, with fill gated behind

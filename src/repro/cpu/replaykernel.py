@@ -36,8 +36,9 @@ reproduces the full one —
   checks are provably zero-cost (mixed row+gather traces are fine on
   GS-DRAM, whose tracker is ``None``).
 
-Everything else — updates, pinned group-caching windows, barriers,
-overflowing traces — falls back to ``Machine._run_batched`` untouched.
+``Machine.run`` asks :func:`kernel_eligible` on every buffer replay;
+everything else — updates, pinned group-caching windows, barriers,
+overflowing traces — replays through ``Machine._run_batched`` untouched.
 """
 
 import itertools
@@ -47,7 +48,7 @@ import numpy as np
 from repro.cache.line import SPACE_SHIFT, CacheLine
 from repro.cache.stats import CacheStats
 from repro.core.addressing import Orientation
-from repro.cpu.tracebuffer import LINE_GATHER, LINE_WRITE
+from repro.cpu.tracebuffer import LINE_GATHER
 from repro.memsim.stats import MemoryStats
 from repro.obs import tracer as obs
 
@@ -111,42 +112,6 @@ def _channel_columns(fin, memory):
     return cached
 
 
-def has_write_after_read(fin):
-    """Does the trace write a cache line it read earlier?
-
-    A kernel replay folds the whole trace into one flat pass over
-    precomputed per-line state; a write landing on a line whose earlier
-    read already contributed to that flat state would leave the folded
-    state stale (the batched path re-simulates in order and stays
-    correct).  The blanket pure-read shape check happens to reject every
-    write today, but this names the *hazardous* subset explicitly so it
-    stays rejected if kernel eligibility is ever widened to write or
-    trailing-write traces (ROADMAP follow-on).  Memoized on the trace
-    like the other shape verdicts.
-    """
-    hazard = fin._kernel_cache.get("write_after_read")
-    if hazard is None:
-        writes = (fin.line_special & LINE_WRITE) != 0
-        hazard = False
-        if writes.any() and not writes.all():
-            keys = fin.line_key
-            first_read = {}
-            for pos, key in zip(
-                np.nonzero(~writes)[0].tolist(), keys[~writes].tolist()
-            ):
-                if key not in first_read:
-                    first_read[key] = pos
-            for pos, key in zip(
-                np.nonzero(writes)[0].tolist(), keys[writes].tolist()
-            ):
-                earlier = first_read.get(key)
-                if earlier is not None and earlier < pos:
-                    hazard = True
-                    break
-        fin._kernel_cache["write_after_read"] = hazard
-    return hazard
-
-
 def kernel_eligible(machine, fin, stream=None):
     """Can :func:`run_kernel` replay ``fin`` on ``machine`` bit-for-bit?
 
@@ -179,12 +144,6 @@ def kernel_eligible(machine, fin, stream=None):
     keys = fin.line_key
     if keys.shape[0] == 0:
         return False
-    if has_write_after_read(fin):
-        # Stale-flat-state hazard: a write run after a same-line read.
-        # Subsumed by the pure-read shape check below for now, but kept
-        # as its own gate so widening eligibility to writes can never
-        # silently admit the hazardous mixed traces.
-        return False
     hierarchy = machine.hierarchy
     if len(hierarchy.levels) != 3:
         return False
@@ -193,6 +152,8 @@ def kernel_eligible(machine, fin, stream=None):
     shape_ok = fin._kernel_cache.get("shape")
     if shape_ok is None:
         special = fin.line_special
+        # Pure reads only: any write, pin, barrier or unpin bit rejects
+        # (so does every write-after-read hazard to the flat state).
         shape_ok = not (special & (0xFF ^ LINE_GATHER)).any()
         if shape_ok and fin.has_gather:
             coords = fin.coords

@@ -80,47 +80,6 @@ def _energy_result(measurements):
         rows=rows,
     )
 
-def _bench_result(args):
-    """Trace-pipeline self-benchmark (see repro.harness.perfbench)."""
-    from repro.harness.figures import FigureResult
-    from repro.harness.perfbench import run_perfbench, write_report
-
-    report = run_perfbench(scale=args.scale, sched_kwargs=args.sched_kwargs)
-    write_report(report, args.bench_out)
-    serving = report["template_serving"]
-    rebind = report["rebind_microbench"]
-    hit_rate = serving["hit_rate"]
-    rows = [
-        ("generation", report["generation"]["accesses_per_sec"], ""),
-        ("replay precise", report["replay_before_precise"]["accesses_per_sec"], ""),
-        (
-            "replay batched",
-            report["replay_after_batched"]["accesses_per_sec"],
-            f"{report['speedup_batched_over_precise']}x vs precise",
-        ),
-        (
-            "replay kernel",
-            report["replay_after_kernel"]["accesses_per_sec"],
-            f"{report['speedup_kernel_over_precise']}x vs precise",
-        ),
-        (
-            "template serving",
-            serving["served_accesses_per_sec"],
-            f"hit rate {hit_rate:.0%}" if hit_rate is not None else "no lookups",
-        ),
-        (
-            "rebind",
-            rebind["rebinds"],
-            f"{rebind['avg_us_per_rebind']} us/rebind",
-        ),
-    ]
-    return FigureResult(
-        name="Bench",
-        title=f"Trace pipeline throughput (written to {args.bench_out})",
-        headers=("stage", "accesses/sec", "note"),
-        rows=rows,
-    )
-
 
 def _faults_result(args, cache_config):
     """Reliability pipeline experiment (extension): inject, scrub, recover."""
@@ -145,7 +104,6 @@ EXPERIMENTS = ("table1", "table2", "fig4", "fig5", "fig17") + _SQL_GROUP + (
     "fig23",
     "multicore",
     "energy",
-    "bench",
     "faults",
 )
 
@@ -194,9 +152,6 @@ def main(argv=None):
                         help="use the small test geometry and caches")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check every query result against the reference engine")
-    parser.add_argument("--bench-out", default="BENCH_trace_pipeline.json",
-                        help="where the 'bench' experiment writes its JSON "
-                             "report (default BENCH_trace_pipeline.json)")
     faults = parser.add_argument_group(
         "fault injection", "knobs for the 'faults' reliability experiment"
     )
@@ -311,8 +266,6 @@ def main(argv=None):
             )
         elif name == "multicore":
             result = _multicore_result(args)
-        elif name == "bench":
-            result = _bench_result(args)
         elif name == "energy":
             if _SQL_MEASUREMENTS[0] is None:
                 sql_results, _sql_meas = figures.run_figures_18_21(

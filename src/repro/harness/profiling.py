@@ -246,6 +246,15 @@ def main(argv=None):
 
     if args.smoke:
         problems = check_profile(profile)
+        if args.template_cache:
+            # The first execution misses and stores; every repeat must hit.
+            hits = profile.database.template_cache.stats.hits
+            expected = max(1, args.repeats) - 1
+            if hits != expected:
+                problems.append(
+                    f"template cache hits {hits} != {expected} "
+                    f"over {args.repeats} repeats"
+                )
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
         if problems:

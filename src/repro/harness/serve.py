@@ -271,14 +271,17 @@ def main(argv=None):
         with open(args.json, "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
         print(f"[result written to {args.json}]")
-    # Smoke gate: every tenant finishes, fairness is bounded, and the
-    # fair-share arbiter keeps per-stream locality at or above the
+    # Smoke gate: every tenant finishes, nothing is shed (admission
+    # control should be idle at the smoke load), fairness is bounded, and
+    # the fair-share arbiter keeps per-stream locality at or above the
     # global-FIFO baseline.
     if args.smoke:
         failures = []
         starved = [t["tenant"] for t in report["tenants"] if t["completed"] == 0]
         if starved:
             failures.append(f"starved tenants {starved}")
+        if report["shed"]:
+            failures.append(f"shed {report['shed']} statements")
         if report["fairness"] > 3.0:
             failures.append(f"fairness ratio {report['fairness']:.2f} > 3.0")
         if "baseline" in result and result["hit_rate_delta"] < -0.005:

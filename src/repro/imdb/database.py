@@ -67,14 +67,9 @@ class Database:
         default_group_lines: int = 0,
         verify: bool = False,
         physmem: Optional[PhysicalMemory] = None,
-        replay_mode: str = "batched",
         template_cache: bool = False,
     ):
         self.memory = memory
-        #: Replay engine for :meth:`execute`'s timing runs (one of
-        #: :data:`repro.cpu.machine.REPLAY_MODES`); threaded into every
-        #: :class:`Machine` built by :meth:`reset_timing`.
-        self.replay_mode = replay_mode
         #: Bumped by every DDL statement (table/index create and drop);
         #: the template cache keys entry validity on it.
         self.layout_epoch = 0
@@ -139,12 +134,7 @@ class Database:
             SynonymDirectory(self.physmem.mapper) if self.memory.supports_column else None
         )
         self.hierarchy = make_hierarchy(synonym=synonym, **self.cache_config)
-        self.machine = Machine(
-            self.memory,
-            self.hierarchy,
-            window=self.window,
-            replay_mode=self.replay_mode,
-        )
+        self.machine = Machine(self.memory, self.hierarchy, window=self.window)
 
     # -- template cache ------------------------------------------------------------
     def enable_template_cache(self):

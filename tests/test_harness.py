@@ -70,157 +70,6 @@ class TestReport:
             report.geometric_mean([2.0, -1.0])
 
 
-class TestCheckRegression:
-    """check_regression must fail loudly, never raise, on bad baselines."""
-
-    @staticmethod
-    def _report(rate=1000, mismatches=0):
-        return {
-            "equivalence": {"mismatches": mismatches, "mismatched": []},
-            "replay_after_batched": {"accesses_per_sec": rate},
-        }
-
-    def test_missing_baseline_file_is_a_failure_not_an_exception(self, tmp_path):
-        from repro.harness.perfbench import check_regression
-
-        failures = check_regression(self._report(), tmp_path / "absent.json")
-        assert len(failures) == 1
-        assert "could not be read" in failures[0]
-        assert "regenerate" in failures[0]
-
-    def test_invalid_json_baseline(self, tmp_path):
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "corrupt.json"
-        path.write_text("{not json")
-        failures = check_regression(self._report(), path)
-        assert failures and "not valid JSON" in failures[0]
-
-    def test_baseline_missing_keys(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"meta": {}}))
-        failures = check_regression(self._report(), path)
-        assert failures and "replay_after_batched.accesses_per_sec" in failures[0]
-
-    def test_baseline_unusable_rate(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "zero.json"
-        path.write_text(
-            json.dumps({"replay_after_batched": {"accesses_per_sec": 0}})
-        )
-        failures = check_regression(self._report(), path)
-        assert failures and "unusable" in failures[0]
-
-    def test_good_baseline_passes_and_gates(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "base.json"
-        path.write_text(
-            json.dumps({"replay_after_batched": {"accesses_per_sec": 1000}})
-        )
-        assert check_regression(self._report(rate=990), path) == []
-        failures = check_regression(self._report(rate=100), path)
-        assert failures and "regressed" in failures[0]
-
-    def test_kernel_serving_and_rebind_gates(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({
-            "replay_after_batched": {"accesses_per_sec": 1000},
-            "replay_after_kernel": {"accesses_per_sec": 4000},
-            "rebind_microbench": {"max_avg_us_per_rebind": 100},
-        }))
-        good = {
-            **self._report(),
-            "replay_after_kernel": {"accesses_per_sec": 3900},
-            "template_serving": {"hit_rate": 0.95},
-            "rebind_microbench": {"avg_us_per_rebind": 60.0},
-        }
-        assert check_regression(good, path) == []
-        bad = {
-            **self._report(),
-            "replay_after_kernel": {"accesses_per_sec": 1000},
-            "template_serving": {"hit_rate": 0.5},
-            "rebind_microbench": {"avg_us_per_rebind": 250.0},
-        }
-        failures = check_regression(bad, path)
-        assert len(failures) == 3
-        assert any("kernel replay regressed" in f for f in failures)
-        assert any("hit rate" in f for f in failures)
-        assert any("rebind regressed" in f for f in failures)
-
-    def test_serving_fences(self, tmp_path):
-        """A baseline that records serving fences gates fairness, the
-        hit-rate delta vs global FIFO, and unexpected shedding."""
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({
-            "replay_after_batched": {"accesses_per_sec": 1000},
-            "serving": {"max_fairness": 3.0, "min_hit_rate_delta": -0.005},
-        }))
-        good = {
-            **self._report(),
-            "serving": {"fairness": 1.2, "hit_rate_delta": 0.01, "shed": 0},
-        }
-        assert check_regression(good, path) == []
-        bad = {
-            **self._report(),
-            "serving": {"fairness": 9.0, "hit_rate_delta": -0.2, "shed": 4},
-        }
-        failures = check_regression(bad, path)
-        assert len(failures) == 3
-        assert any("fairness regressed" in f for f in failures)
-        assert any("locality regressed" in f for f in failures)
-        assert any("shed" in f for f in failures)
-
-    def test_baseline_without_serving_fences_skips_serving_gate(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "old.json"
-        path.write_text(
-            json.dumps({"replay_after_batched": {"accesses_per_sec": 1000}})
-        )
-        report = {
-            **self._report(),
-            "serving": {"fairness": 9.0, "hit_rate_delta": -0.2, "shed": 4},
-        }
-        assert check_regression(report, path) == []
-
-    def test_pre_kernel_baseline_still_gates_batched_only(self, tmp_path):
-        """Baselines committed before the kernel path existed must keep
-        working — only the sections they record are gated."""
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "old.json"
-        path.write_text(
-            json.dumps({"replay_after_batched": {"accesses_per_sec": 1000}})
-        )
-        new_report = {
-            **self._report(),
-            "replay_after_kernel": {"accesses_per_sec": 1},
-        }
-        assert check_regression(new_report, path) == []
-
-
 class TestStaticFigures:
     def test_table2_lists_all_queries(self):
         result = figures.table2()
@@ -340,62 +189,6 @@ class TestCli:
         assert "Fault injection" in out and "RC-NVM" in out
         assert seen["seed"] == 11 and seen["mode"] == "hotline"
         assert seen["fault_rate"] == 0.01
-
-
-class TestWritePathFences:
-    @staticmethod
-    def _report(**write_path):
-        return {
-            "equivalence": {"mismatches": 0, "mismatched": []},
-            "replay_after_batched": {"accesses_per_sec": 1000},
-            "write_path": write_path,
-        }
-
-    @staticmethod
-    def _baseline(tmp_path, fences):
-        import json
-
-        path = tmp_path / "base.json"
-        path.write_text(json.dumps({
-            "replay_after_batched": {"accesses_per_sec": 1000},
-            "write_path": fences,
-        }))
-        return path
-
-    def test_write_path_fences_gate_both_directions(self, tmp_path):
-        from repro.harness.perfbench import check_regression
-
-        path = self._baseline(tmp_path, {
-            "min_write_pulse_reduction": 1, "max_read_p99_ratio": 1.05,
-        })
-        good = self._report(write_pulse_reduction=15, read_p99_ratio=1.0)
-        assert check_regression(good, path) == []
-        bad = self._report(write_pulse_reduction=0, read_p99_ratio=1.4)
-        failures = check_regression(bad, path)
-        assert len(failures) == 2
-        assert any("write coalescing regressed" in f for f in failures)
-        assert any("hurt reads" in f for f in failures)
-
-    def test_unmeasurable_p99_ratio_is_not_gated(self, tmp_path):
-        # A workload with no reads reports ratio None; that is a workload
-        # problem, not a latency regression.
-        from repro.harness.perfbench import check_regression
-
-        path = self._baseline(tmp_path, {"max_read_p99_ratio": 1.05})
-        report = self._report(write_pulse_reduction=3, read_p99_ratio=None)
-        assert check_regression(report, path) == []
-
-    def test_baseline_without_write_path_fences_skips_the_gate(self, tmp_path):
-        import json
-
-        from repro.harness.perfbench import check_regression
-
-        path = tmp_path / "old.json"
-        path.write_text(
-            json.dumps({"replay_after_batched": {"accesses_per_sec": 1000}})
-        )
-        report = self._report(write_pulse_reduction=-5, read_p99_ratio=9.0)
-        assert check_regression(report, path) == []
 
 
 class TestWearHarness:

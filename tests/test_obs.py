@@ -307,6 +307,30 @@ class TestQuerySpans:
         assert outcome.timing.memory["accesses"] > 20
         assert sum(1 for _ in tracer.roots[0].walk()) == 5
 
+    def test_enabled_tracing_span_count_is_per_run_constant(self, db):
+        """A traced replay opens exactly machine.run + controller.drain
+        per Machine.run, independent of trace length and of which engine
+        (kernel or batched) replays it."""
+        from repro.cpu.replaykernel import kernel_eligible
+
+        buffers = []
+        for sql in ("SELECT SUM(f2) FROM t WHERE f1 > x",
+                    "SELECT * FROM t WHERE f1 > x",
+                    "UPDATE t SET f2 = 1 WHERE f1 > x"):
+            _result, buffer = db.executor.execute(db.plan(sql, params={"x": 10}))
+            buffers.append(buffer)
+        eligible = []
+        with obs.tracing() as tracer:
+            for buffer in buffers:
+                db.reset_timing()
+                eligible.append(kernel_eligible(db.machine, buffer.finalize()))
+                db.machine.run(buffer)
+        assert True in eligible and False in eligible  # both engines ran
+        assert len(tracer.roots) == len(buffers)
+        for root in tracer.roots:
+            assert [s.name for s in root.walk()] == ["machine.run",
+                                                     "controller.drain"]
+
     def test_fuzz_span_invariants_pass_and_catch_tampering(self, db):
         from repro.fuzz.invariants import _check_spans
 
@@ -369,6 +393,24 @@ class TestProfiling:
         out = capsys.readouterr().out
         assert "machine.run" in out
         assert "accounting consistent" in out
+
+    def test_cli_smoke_template_cache_fails_on_planted_misses(
+        self, monkeypatch, capsys
+    ):
+        from repro.cpu.tracetemplate import TraceTemplateCache
+        from repro.harness.cli import main
+
+        argv = ["profile", "--smoke", "--template-cache", "--repeats", "3"]
+        assert main(argv) == 0
+
+        def always_miss(self, key, plan):
+            self.stats.misses += 1
+            return None
+
+        monkeypatch.setattr(TraceTemplateCache, "fetch", always_miss)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "template cache hits 0 != 2" in capsys.readouterr().err
 
     def test_cli_chrome_out(self, tmp_path, capsys):
         from repro.harness.cli import main

@@ -1,13 +1,15 @@
-"""The equivalence oracle for the batched replay fast path.
+"""The equivalence oracle for the replay fast paths.
 
 ``Machine.run`` takes either a ``List[Access]`` (the precise per-access
-path) or a :class:`~repro.cpu.tracebuffer.TraceBuffer` (the batched
-structure-of-arrays path).  The batched path is only a performance
-optimization: on the same trace the two must produce *bit-for-bit*
-identical :class:`RunResult`\\ s — every counter, every cache/memory
-stats snapshot, every latency histogram bucket.  These tests enforce
-that on the SQL benchmark suite (scale from ``REPRO_BENCH_SCALE``,
-default 0.05) for every figure system, and on the multicore OLXP mix.
+path, the reference) or a :class:`~repro.cpu.tracebuffer.TraceBuffer`,
+which replays through the whole-trace kernel when it is eligible and
+through the batched structure-of-arrays loop otherwise.  Both fast
+paths are only performance optimizations: on the same trace they must
+produce *bit-for-bit* identical :class:`RunResult`\\ s — every counter,
+every cache/memory stats snapshot, every latency histogram bucket.
+These tests enforce that on the SQL benchmark suite (scale from
+``REPRO_BENCH_SCALE``, default 0.05) for every figure system, and on
+the multicore OLXP mix.
 """
 
 import os
@@ -44,29 +46,35 @@ def test_batched_replay_is_bit_for_bit(system_name):
         db.reset_timing()
         precise = db.machine.run(accesses)
         db.reset_timing()
-        batched = db.machine.run(buffer)
+        batched = db.machine._run_batched(buffer.finalize())
         assert precise == batched, (system_name, qid)
 
 
 @pytest.mark.parametrize("system_name", SYSTEMS)
 def test_kernel_replay_is_bit_for_bit(system_name):
-    """The compiled replay kernel is mode three of the same oracle: for
+    """``Machine.run`` picks the kernel for every eligible buffer: for
     every suite query it must match the batched path (and thereby the
     precise path) bit for bit — including the simulator end state it
     leaves behind, which downstream reporting reads."""
+    from repro.cpu.replaykernel import kernel_eligible
+
     memory = build_system(system_name)
     db = build_benchmark_database(memory, scale=SCALE)
+    eligible = []
     for qid, buffer in _query_traces(db):
+        fin = buffer.finalize()
         db.reset_timing()
-        db.machine.replay_mode = "batched"
-        batched = db.machine.run(buffer)
+        batched = db.machine._run_batched(fin)
         batched_state = _simulator_state(db)
         db.reset_timing()
-        db.machine.replay_mode = "kernel"
-        kernel = db.machine.run(buffer)
-        kernel_state = _simulator_state(db)
-        assert batched == kernel, (system_name, qid)
-        assert batched_state == kernel_state, (system_name, qid)
+        if kernel_eligible(db.machine, fin):
+            eligible.append(qid)
+        replayed = db.machine.run(buffer)
+        replayed_state = _simulator_state(db)
+        assert batched == replayed, (system_name, qid)
+        assert batched_state == replayed_state, (system_name, qid)
+    # Otherwise a gate that never fires would compare batched with batched.
+    assert eligible, system_name
 
 
 def _simulator_state(db):

@@ -2,17 +2,14 @@
 
 Bit-for-bit equivalence against the batched path over the full SQL suite
 lives in ``tests/test_replay_equivalence.py``; these tests pin the
-supporting machinery — mode selection, the eligibility gate's fallback
-decisions, and the end-state reconstruction on a small system.
+supporting machinery — automatic engine selection, the eligibility
+gate's fallback decisions, and the end-state reconstruction on a small
+system.
 """
 
-import pytest
-
-from repro.cpu.machine import REPLAY_MODES, Machine
-from repro.cpu.replaykernel import has_write_after_read, kernel_eligible
+from repro.cpu.replaykernel import kernel_eligible
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
-from repro.errors import ConfigurationError
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.imdb.database import Database
 
@@ -43,32 +40,23 @@ def _read_trace(db, sql="SELECT SUM(f2) FROM t WHERE f1 > x"):
     return buffer
 
 
-class TestModeSelection:
-    def test_replay_modes_constant(self):
-        assert REPLAY_MODES == ("precise", "batched", "kernel")
+def test_run_selects_kernel_exactly_when_eligible():
+    # The kernel memoizes its flattened columns on the trace ("static");
+    # only a replay that took the kernel leaves them behind.
+    db = _small_db()
+    fin = _read_trace(db).finalize()
+    db.reset_timing()
+    assert kernel_eligible(db.machine, fin)
+    db.machine.run(fin)
+    assert "static" in fin._kernel_cache
 
-    def test_invalid_mode_raises(self):
-        db = _small_db()
-        with pytest.raises(ValueError):
-            Machine(db.memory, db.hierarchy, replay_mode="vectorized")
-
-    def test_database_threads_mode_through_reset_timing(self):
-        memory = build_system("DRAM", small=True)
-        db = Database(memory, cache_config=SMALL_CACHE_CONFIG,
-                      replay_mode="kernel")
-        assert db.machine.replay_mode == "kernel"
-        db.reset_timing()
-        assert db.machine.replay_mode == "kernel"
-
-    def test_precise_mode_never_batches(self):
-        db = _small_db()
-        db.replay_mode = "precise"
-        db.reset_timing()
-        buffer = _read_trace(db)
-        precise = db.machine.run(buffer)
-        db.replay_mode = "kernel"
-        db.reset_timing()
-        assert db.machine.run(buffer) == precise
+    plan = db.plan("UPDATE t SET f2 = 7 WHERE f1 > x", params={"x": 20})
+    _result, buffer = db.executor.execute(plan)
+    update = buffer.finalize()
+    db.reset_timing()
+    assert not kernel_eligible(db.machine, update)
+    db.machine.run(update)
+    assert "static" not in update._kernel_cache
 
 
 class TestEligibility:
@@ -86,6 +74,9 @@ class TestEligibility:
         assert fin.n_writes > 0
         db.reset_timing()
         assert not kernel_eligible(db.machine, fin)
+        batched = db.machine._run_batched(fin)
+        db.reset_timing()
+        assert db.machine.run(fin) == batched
 
     def test_empty_trace_falls_back(self):
         db = _small_db()
@@ -131,14 +122,14 @@ class TestEligibility:
         assert not kernel_eligible(db.machine, fin)
 
     def test_fallback_still_replays_correctly(self):
-        db = _small_db()
-        plan = db.plan("UPDATE t SET f2 = 9 WHERE f1 > x", params={"x": 20})
-        _result, buffer = db.executor.execute(plan)
+        # A pure-read trace can fall back too (here: LLC-set overflow).
+        db = _small_db(rows=64)
+        buffer = _read_trace(db)
+        fin = buffer.finalize()
         db.reset_timing()
-        db.machine.replay_mode = "batched"
-        batched = db.machine.run(buffer)
+        assert not kernel_eligible(db.machine, fin)
+        batched = db.machine._run_batched(fin)
         db.reset_timing()
-        db.machine.replay_mode = "kernel"
         assert db.machine.run(buffer) == batched
 
 
@@ -146,19 +137,18 @@ class TestEndState:
     def test_kernel_leaves_identical_simulator_state(self):
         db = _small_db()
         buffer = _read_trace(db)
+        fin = buffer.finalize()
         db.reset_timing()
-        db.machine.replay_mode = "batched"
-        db.machine.run(buffer)
+        db.machine._run_batched(fin)
         expected = self._state(db)
         db.reset_timing()
-        db.machine.replay_mode = "kernel"
-        db.machine.run(buffer)
+        assert kernel_eligible(db.machine, fin)
+        db.machine.run(fin)
         assert self._state(db) == expected
 
     def test_repeat_replay_reuses_memoized_columns(self):
         db = _small_db()
         fin = _read_trace(db).finalize()
-        db.replay_mode = "kernel"
         db.reset_timing()
         first = db.machine.run(fin)
         assert "static" in fin._kernel_cache
@@ -185,67 +175,19 @@ class TestEndState:
 
 
 class TestWriteAfterReadHazard:
-    """The stale-flat-state hazard gate (``has_write_after_read``).
-
-    The kernel replays reads against a flat snapshot of line state; a
-    write to a line the trace already read would leave later flat reads
-    seeing pre-write state.  Today the pure-read shape check already
-    rejects every write, but the hazard gate is what keeps a future
-    write-trace widening from silently replaying read-write-read lines
-    wrong — so its semantics are pinned here.
-    """
-
-    def test_read_then_write_same_line_is_flagged(self):
-        buffer = TraceBuffer()
-        buffer.emit(int(Op.READ), 0x0, 64, 1)
-        buffer.emit(int(Op.WRITE), 0x0, 64, 1)
-        assert has_write_after_read(buffer.finalize())
-
-    def test_write_then_read_same_line_is_not_flagged(self):
-        buffer = TraceBuffer()
-        buffer.emit(int(Op.WRITE), 0x0, 64, 1)
-        buffer.emit(int(Op.READ), 0x0, 64, 1)
-        assert not has_write_after_read(buffer.finalize())
-
-    def test_disjoint_lines_are_not_flagged(self):
-        buffer = TraceBuffer()
-        buffer.emit(int(Op.READ), 0x0, 64, 1)
-        buffer.emit(int(Op.WRITE), 0x40, 64, 1)
-        assert not has_write_after_read(buffer.finalize())
-
-    def test_pure_traces_are_not_flagged(self):
-        reads = TraceBuffer()
-        reads.emit(int(Op.READ), 0x0, 64, 1)
-        reads.emit(int(Op.READ), 0x40, 64, 1)
-        assert not has_write_after_read(reads.finalize())
-        writes = TraceBuffer()
-        writes.emit(int(Op.WRITE), 0x0, 64, 1)
-        writes.emit(int(Op.WRITE), 0x0, 64, 1)
-        assert not has_write_after_read(writes.finalize())
-
-    def test_verdict_is_memoized_per_finalized_trace(self):
-        buffer = TraceBuffer()
-        buffer.emit(int(Op.READ), 0x0, 64, 1)
-        buffer.emit(int(Op.WRITE), 0x0, 64, 1)
-        fin = buffer.finalize()
-        assert has_write_after_read(fin)
-        assert fin._kernel_cache["write_after_read"] is True
+    """A write to a line the trace already read would leave the kernel's
+    flat per-line state stale; the pure-read shape check rejects every
+    trace with a write, so such traces replay through the batched loop."""
 
     def test_mixed_trace_rejected_and_fallback_matches_batched(self):
-        # The full seam: a write-after-same-line-read trace must be
-        # rejected by the eligibility gate, and the kernel-mode machine
-        # must fall back to a replay identical to the batched path.
         db = _small_db()
         buffer = TraceBuffer()
         buffer.emit(int(Op.READ), 0x0, 64, 1)
         buffer.emit(int(Op.WRITE), 0x0, 64, 1)
         buffer.emit(int(Op.READ), 0x40, 64, 1)
         fin = buffer.finalize()
-        assert has_write_after_read(fin)
         db.reset_timing()
         assert not kernel_eligible(db.machine, fin)
-        db.machine.replay_mode = "batched"
-        batched = db.machine.run(buffer)
+        batched = db.machine._run_batched(fin)
         db.reset_timing()
-        db.machine.replay_mode = "kernel"
         assert db.machine.run(buffer) == batched

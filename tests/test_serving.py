@@ -208,6 +208,21 @@ class TestServeHarness:
             sql.startswith("UPDATE") for sql, _p, _h in tenant_mix(0, writes=False)
         )
 
+    def test_smoke_passes_and_fails_on_planted_shedding(self, monkeypatch, capsys):
+        from repro.harness import serve
+
+        assert serve.main(["--smoke"]) == 0
+        assert "SMOKE OK" in capsys.readouterr().out
+
+        def shedding(*args, **kwargs):
+            result = run_serving(*args, **kwargs)
+            result["report"]["shed"] = 3
+            return result
+
+        monkeypatch.setattr(serve, "run_serving", shedding)
+        assert serve.main(["--smoke"]) == 1
+        assert "shed 3 statements" in capsys.readouterr().err
+
 
 # -- run_segmented -------------------------------------------------------------
 class TestRunSegmented:
@@ -312,10 +327,9 @@ class TestTemplateCacheMultiTenant:
 
 # -- satellite 2: kernel-replay gate under multi-tenancy -----------------------
 class TestKernelGateMultiTenant:
-    def _db(self, replay_mode="batched"):
+    def _db(self):
         memory = build_system("RC-NVM", small=True)
-        db = Database(memory, cache_config=SMALL_CACHE_CONFIG,
-                      replay_mode=replay_mode)
+        db = Database(memory, cache_config=SMALL_CACHE_CONFIG)
         db.create_table("t", [("f1", 8), ("f2", 8)], layout="row")
         db.insert_many("t", [(i, i * 3) for i in range(32)])
         return db
@@ -360,24 +374,23 @@ class TestKernelGateMultiTenant:
         assert kernel_eligible(db.machine, fin)
 
     def test_kernel_mode_falls_back_to_batched_equivalence(self):
-        """Equivalence oracle: a tagged trace through a kernel-mode
-        machine must time identically to the batched path (the gate
-        forces the fallback)."""
-        kernel_db = self._db(replay_mode="kernel")
-        fin = self._fin(kernel_db)
+        """Equivalence oracle: a tagged trace must replay identically to
+        the batched path (the gate forces the fallback), and never
+        through the kernel."""
+        db = self._db()
+        fin = self._fin(db)
         fin.stream = 4
-        kernel_cycles = kernel_db.machine.run(fin).cycles
-
-        batched_db = self._db(replay_mode="batched")
-        fin2 = self._fin(batched_db)
-        fin2.stream = 4
-        batched_cycles = batched_db.machine.run(fin2).cycles
-        assert kernel_cycles == batched_cycles
+        replayed = db.machine.run(fin)
+        assert "static" not in fin._kernel_cache
+        db.reset_timing()
+        assert replayed == db.machine._run_batched(fin, stream=4)
 
     def test_untagged_kernel_still_used(self):
-        db = self._db(replay_mode="kernel")
+        db = self._db()
         fin = self._fin(db)
         assert kernel_eligible(db.machine, fin)
+        db.machine.run(fin)
+        assert "static" in fin._kernel_cache
 
 
 # -- satellite 3: starvation counters under cross-stream bypass ----------------

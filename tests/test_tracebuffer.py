@@ -205,10 +205,11 @@ class TestDecodeCaching:
             type(memory.mapper), "decode_fields",
             lambda self, *a, **kw: calls.append(1) or original(self, *a, **kw),
         )
-        for mode in ("batched", "kernel", "batched"):
-            db.replay_mode = mode
+        # Kernel, batched, kernel again: one decode shared by all three.
+        for replay in ("run", "_run_batched", "run"):
             db.reset_timing()
-            db.machine.run(fin)
+            getattr(db.machine, replay)(fin)
+        assert "static" in fin._kernel_cache
         assert len(calls) == 1
 
 
