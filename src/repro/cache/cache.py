@@ -8,6 +8,22 @@ from repro.cache.stats import CacheStats
 from repro.geometry import CACHE_LINE_BYTES
 
 
+class _EmptySet(OrderedDict):
+    """Read-only stand-in for every never-filled cache set."""
+
+    def __setitem__(self, key, value):
+        raise TypeError(
+            "write into an unmaterialized cache set; "
+            "fill through Cache.install or Cache.writable_set"
+        )
+
+
+#: The one empty set all unfilled slots of all caches share, so building
+#: or clearing a cache allocates nothing per set.  Reads treat it as any
+#: empty set; writers go through :meth:`Cache.writable_set`.
+EMPTY_SET = _EmptySet()
+
+
 class Cache:
     """One cache level.
 
@@ -39,12 +55,19 @@ class Cache:
         if self.num_sets & (self.num_sets - 1):
             raise ConfigurationError(f"{name}: number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
-        self.sets = [OrderedDict() for _ in range(self.num_sets)]
+        self.clear()
         self.stats = CacheStats()
 
     # -- indexing ------------------------------------------------------------
     def set_of(self, key):
         return self.sets[key & self._set_mask]
+
+    def writable_set(self, index):
+        """Set ``index``, materialized on its first write."""
+        cache_set = self.sets[index]
+        if cache_set is EMPTY_SET:
+            cache_set = self.sets[index] = OrderedDict()
+        return cache_set
 
     # -- lookups ---------------------------------------------------------------
     def lookup(self, key):
@@ -73,7 +96,8 @@ class Cache:
         :class:`CacheLine` or ``None``.  Installing a key that is already
         resident just refreshes it.
         """
-        cache_set = self.sets[key & self._set_mask]
+        index = key & self._set_mask
+        cache_set = self.sets[index]
         line = cache_set.get(key)
         if line is not None:
             cache_set.move_to_end(key)
@@ -84,7 +108,7 @@ class Cache:
         if len(cache_set) >= self.ways:
             victim = self._evict_one(cache_set)
         line = CacheLine(key, dirty=dirty, pinned=pinned)
-        cache_set[key] = line
+        self.writable_set(index)[key] = line
         self.stats.fills += 1
         return line, victim
 
@@ -123,8 +147,7 @@ class Cache:
         return sum(len(cache_set) for cache_set in self.sets)
 
     def clear(self):
-        for cache_set in self.sets:
-            cache_set.clear()
+        self.sets = [EMPTY_SET] * self.num_sets
 
     def __repr__(self):
         return f"Cache({self.name}, {self.size_bytes >> 10} KiB, {self.ways}-way)"

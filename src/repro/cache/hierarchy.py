@@ -87,11 +87,12 @@ class CacheHierarchy:
         """
         extra = 0
         llc = self.llc
-        cache_set = llc.sets[key & llc._set_mask]
+        index = key & llc._set_mask
+        cache_set = llc.sets[index]
         victim = None
         if len(cache_set) >= llc.ways:
             victim = llc._evict_one(cache_set)
-        cache_set[key] = line = CacheLine(key)
+        llc.writable_set(index)[key] = line = CacheLine(key)
         llc.stats.fills += 1
         if victim is not None:
             extra += self._on_llc_eviction(victim)
@@ -101,11 +102,12 @@ class CacheHierarchy:
                 self._counts[tag] += 1
             extra += self._crossing_check(line)
         for level in self._upper_rev:
-            cache_set = level.sets[key & level._set_mask]
+            index = key & level._set_mask
+            cache_set = level.sets[index]
             victim = None
             if len(cache_set) >= level.ways:
                 victim = level._evict_one(cache_set)
-            cache_set[key] = CacheLine(key)
+            level.writable_set(index)[key] = CacheLine(key)
             level.stats.fills += 1
             if victim is not None:
                 self._demote(level, victim)

@@ -185,9 +185,10 @@ def kernel_eligible(machine, fin, stream=None):
         fin._kernel_cache[fits_key] = fits
     if not fits:
         return False
-    # Fresh stats imply empty sets: every install path (install/fill/
-    # fill_absent_read) increments ``fills``, so fills == 0 means no
-    # line was ever cached since the last construction/reset.
+    # Fresh stats imply empty sets: a set only leaves EMPTY_SET through
+    # ``Cache.writable_set``, whose fill callers (install/fill_absent_read
+    # and this kernel's write-back) all count ``fills``, so fills == 0
+    # means no line was cached since the last construction/reset.
     fresh_cache = CacheStats()
     for level in hierarchy.levels:
         if level.stats != fresh_cache:
@@ -571,10 +572,10 @@ def run_kernel(machine, fin):
     l3.stats.hits = r_l3
     l3.stats.misses = n_unique
     l3.stats.fills = n_unique
-    for level_sets, flat in ((l1.sets, l1k), (l2.sets, l2k)):
+    for level, flat in ((l1, l1k), (l2, l2k)):
         for set_index, lst in enumerate(flat):
             if lst:
-                cache_set = level_sets[set_index]
+                cache_set = level.writable_set(set_index)
                 for k in lst:
                     cache_set[k] = CacheLine(k)
     # LLC contents: all unique lines, per set in insertion order (the LLC
@@ -586,7 +587,7 @@ def run_kernel(machine, fin):
     for k, set_index in zip(
         unique_in_order[grouping].tolist(), set_of[grouping].tolist()
     ):
-        l3_sets[set_index][k] = CacheLine(k)
+        l3.writable_set(set_index)[k] = CacheLine(k)
     for k in l3_touched:
         l3_sets[k & m3].move_to_end(k)
     if hierarchy.synonym is not None:

@@ -445,7 +445,8 @@ class Database:
             timing = None
             if simulate:
                 if fresh_timing:
-                    self.reset_timing()
+                    with obs.span("timing.reset"):
+                        self.reset_timing()
                 timing = self.machine.run(trace, stream=stream)
                 timing.degradation_events = self.degradation_events[events_before:]
             if qsp.enabled:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.cache import Cache
+from repro.cache.cache import EMPTY_SET, Cache
 from repro.cache.line import line_key
 from repro.core.addressing import Orientation
 from repro.errors import ConfigurationError
@@ -55,6 +55,33 @@ class TestBasics:
         cache.install(key(0))
         cache.clear()
         assert cache.occupancy() == 0
+
+
+class TestLazySets:
+    def test_unfilled_set_rejects_direct_writes(self, cache):
+        cache.install(key(0))
+        with pytest.raises(TypeError):
+            cache.sets[1][key(1)] = None
+        assert cache.sets[1] is EMPTY_SET and not EMPTY_SET
+
+    def test_clear_returns_every_set_to_empty_set(self, cache):
+        for i in range(6):
+            cache.install(key(i))
+        cache.clear()
+        assert all(cache_set is EMPTY_SET for cache_set in cache.sets)
+
+    def test_install_after_clear_refills(self, cache):
+        for i in (0, 4, 1):
+            cache.install(key(i))
+        cache.clear()
+        cache.install(key(4))
+        cache.install(key(0))
+        assert list(cache.sets[0]) == [key(4), key(0)]
+        cache.lookup(key(4))
+        _line, victim = cache.install(key(8))
+        assert victim.key == key(0)
+        assert cache.sets[1] is EMPTY_SET
+        assert cache.occupancy() == 2
 
 
 class TestLru:

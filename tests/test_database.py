@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import SMALL_CACHES, make_database, simple_rows
+from repro.cache.cache import EMPTY_SET
 from repro.errors import LayoutError, SqlError
 from repro.imdb.chunks import IntraLayout
 
@@ -63,6 +64,21 @@ class TestExecution:
         warm = db.execute("SELECT SUM(b) FROM t", fresh_timing=False)
         # Second run hits caches: fewer misses.
         assert warm.timing.llc_misses < first.timing.llc_misses
+
+    def test_reset_timing_leaves_every_set_unmaterialized(self):
+        db = self.make_loaded()
+        db.execute("SELECT SUM(b) FROM t", fresh_timing=False)
+        db.reset_timing()
+        for level in db.hierarchy.levels:
+            assert all(cache_set is EMPTY_SET for cache_set in level.sets)
+
+    def test_replay_materializes_only_touched_llc_sets(self):
+        db = self.make_loaded()
+        outcome = db.execute("SELECT SUM(b) FROM t")
+        distinct = len(set(outcome.trace.finalize().line_key.tolist()))
+        llc_sets = db.hierarchy.llc.sets
+        materialized = sum(1 for s in llc_sets if s is not EMPTY_SET)
+        assert 0 < materialized <= distinct < len(llc_sets)
 
     def test_verify_flag_checks_results(self):
         db = self.make_loaded()

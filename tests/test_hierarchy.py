@@ -99,6 +99,20 @@ class TestEvictionAndWriteback:
         assert dirty == [key(0)]
         assert all(cache.occupancy() == 0 for cache in hierarchy.levels)
 
+    def test_flush_orders_by_level_then_set_then_lru(self):
+        """The durability commit barrier writes back in this order, so it
+        must not depend on the order sets were first touched in."""
+        hierarchy = small_hierarchy()  # L1: 2 sets x 2 ways, L2: 8 sets
+        for i in (3, 2, 1, 0):  # touches L1 set 1 before set 0
+            hierarchy.fill(key(i), True)
+        hierarchy.lookup(key(2), False)  # L1 set 0 LRU order: 0, 2
+        hierarchy.fill(key(5), True)  # evicts dirty 3 from L1 into L2
+        hierarchy.fill(key(7), True)  # evicts dirty 1 from L1 into L2
+        assert hierarchy.flush() == [
+            key(0), key(2), key(5), key(7),  # L1 set 0, then set 1
+            key(1), key(3),  # L2 sets 1 and 3, though 3 went dirty first
+        ]
+
 
 class TestPinning:
     def test_pin_and_unpin(self):

@@ -292,20 +292,20 @@ class TestQuerySpans:
         names = [c["name"] for c in spans["children"]]
         assert names[0] == "plan"
         assert names[1].startswith("operator:")
-        assert names[2] == "machine.run"
-        machine = spans["children"][2]
+        assert names[2:4] == ["timing.reset", "machine.run"]
+        machine = spans["children"][3]
         assert machine["metrics"]["cycles"] == outcome.timing.cycles
         assert [c["name"] for c in machine["children"]] == ["controller.drain"]
 
     def test_span_count_is_constant_per_query_not_per_access(self, db):
         """Zero per-access cost: a query touching hundreds of memory
-        accesses still opens exactly query/plan/operator/machine.run/
-        controller.drain — five spans."""
+        accesses still opens exactly query/plan/operator/timing.reset/
+        machine.run/controller.drain — six spans."""
         with obs.tracing() as tracer:
             outcome = db.execute("SELECT * FROM t WHERE f1 > x",
                                  params={"x": 2})
         assert outcome.timing.memory["accesses"] > 20
-        assert sum(1 for _ in tracer.roots[0].walk()) == 5
+        assert sum(1 for _ in tracer.roots[0].walk()) == 6
 
     def test_enabled_tracing_span_count_is_per_run_constant(self, db):
         """A traced replay opens exactly machine.run + controller.drain

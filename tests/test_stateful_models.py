@@ -83,6 +83,11 @@ class LruCacheModel(RuleBasedStateMachine):
         else:
             assert line is None
 
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.model = {s: [] for s in self.model}
+
     @invariant()
     def contents_match(self):
         for set_index, model_set in self.model.items():
