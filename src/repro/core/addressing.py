@@ -135,6 +135,35 @@ class AddressMapper:
             return common | (coord.col << self._co_col_shift) | (coord.row << self._co_row_shift)
         raise AddressError("gathered addresses are synthesized by the GS-DRAM model")
 
+    def encode_cells(self, channel, rank, bank, subarray, rows, cols, orientation):
+        """Vectorized :meth:`encode` of many word cells of one subarray.
+
+        ``rows`` and ``cols`` are equal-length int arrays; the other parts
+        are scalars.  Raises the :class:`AddressError` that scalar
+        :meth:`encode` would raise on the first bad cell (scalar parts
+        are checked even when the arrays are empty).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        g = self.geometry
+        bad = (rows < 0) | (rows >= g.rows) | (cols < 0) | (cols >= g.cols)
+        cell = (0, 0)
+        if bad.any():
+            first = int(bad.argmax())
+            cell = (int(rows[first]), int(cols[first]))
+        self._check(Coordinate(channel, rank, bank, subarray, *cell))
+        common = (
+            (channel << self._chan_shift)
+            | (rank << self._rank_shift)
+            | (bank << self._bank_shift)
+            | (subarray << self._sub_shift)
+        )
+        if orientation is Orientation.ROW:
+            return common | (rows << self._ro_row_shift) | (cols << self._ro_col_shift)
+        if orientation is Orientation.COLUMN:
+            return common | (cols << self._co_col_shift) | (rows << self._co_row_shift)
+        raise AddressError("gathered addresses are synthesized by the GS-DRAM model")
+
     def encode_row(self, coord: Coordinate) -> int:
         return self.encode(coord, Orientation.ROW)
 

@@ -21,6 +21,8 @@ RC-NVM because both access directions are first-class.
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import LayoutError
 from repro.imdb.binpack import Placement
 
@@ -91,6 +93,23 @@ class Chunk:
             row = index % self.height
             col = (index // self.height) * self.tuple_words + word
         return row, col
+
+    def local_cells(self, indices, word):
+        """Vectorized :meth:`local_cell`: chunk-relative ``(rows, cols)``
+        arrays of word ``word`` of the local tuples ``indices``."""
+        indices = np.asarray(indices, dtype=np.int64)
+        bad = (indices < 0) | (indices >= self.n_tuples)
+        if bad.any():
+            raise LayoutError(
+                f"tuple {int(indices[bad.argmax()])} outside chunk of {self.n_tuples}"
+            )
+        if not 0 <= word < self.tuple_words:
+            raise LayoutError(f"word {word} outside tuple of {self.tuple_words}")
+        if self.layout is IntraLayout.ROW:
+            rows, slots = np.divmod(indices, self.slots)
+        else:
+            slots, rows = np.divmod(indices, self.height)
+        return rows, slots * self.tuple_words + word
 
     def used_rows(self):
         """Number of chunk rows that contain at least one tuple."""
@@ -209,26 +228,35 @@ class Chunk:
             tuple_stride=0,
         )
 
-    def row_cells(self, chunk_row, offset_word):
-        """Device cells holding ``offset_word`` of each tuple stored in
-        chunk row ``chunk_row`` — the unit of row-major (DRAM-friendly)
-        field scans.  Yields ``(subarray, device_row, device_col,
-        global_tuple)`` in slot order."""
+    def row_scan_cells(self, offset_words):
+        """Device cells holding the given field words of every tuple, in
+        row-scan order — chunk row, then field word, then slot — the order
+        of row-major (DRAM-friendly) field scans.  Returns ``(subarray,
+        device_rows, device_cols, tuples)``, the last three as arrays
+        (``tuples`` are global tuple indices)."""
+        words = np.asarray(offset_words, dtype=np.int64)
+        bad = (words < 0) | (words >= self.tuple_words)
+        if bad.any():
+            raise LayoutError(
+                f"word {int(words[bad.argmax()])} outside tuple of {self.tuple_words}"
+            )
+        rows = np.arange(self.used_rows())[:, None, None]
         if self.layout is IntraLayout.ROW:
-            base = chunk_row * self.slots
-            slots_here = min(self.slots, self.n_tuples - base)
-            for slot in range(slots_here):
-                row, col = self.local_cell(base + slot, offset_word)
-                sub, device_row, device_col = self.device_cell(row, col)
-                yield sub, device_row, device_col, self.first_tuple + base + slot
+            slots = np.arange(self.slots)
+            local = rows * self.slots + slots
         else:
-            for group in range(self.used_groups()):
-                local = group * self.height + chunk_row
-                if local >= self.n_tuples or chunk_row >= self.height:
-                    continue
-                row, col = self.local_cell(local, offset_word)
-                sub, device_row, device_col = self.device_cell(row, col)
-                yield sub, device_row, device_col, self.first_tuple + local
+            slots = np.arange(self.used_groups())
+            local = slots * self.height + rows
+        # Cell (row, word, slot) holds word ``word`` of tuple ``local``
+        # at chunk cell (row, slot * tuple_words + word) in both layouts.
+        shape = (rows.shape[0], words.size, slots.size)
+        keep = np.broadcast_to(local < self.n_tuples, shape)
+        cols = slots * self.tuple_words + words[:, None]
+        sub, device_rows, device_cols = self.device_cell(
+            np.broadcast_to(rows, shape)[keep], np.broadcast_to(cols, shape)[keep]
+        )
+        tuples = np.broadcast_to(local, shape)[keep] + self.first_tuple
+        return sub, device_rows, device_cols, tuples
 
     def __repr__(self):
         return (

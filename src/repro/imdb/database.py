@@ -320,16 +320,20 @@ class Database:
 
     def insert_many(self, name, rows):
         if self.durability is not None and rows:
-            import numpy as np
-
-            table = self.table(name)
-            packed = np.array(
-                [table.schema.pack(row) for row in rows], dtype=np.int64
-            )
-            self.durability.log_insert(name, packed)
-            table.insert_packed(packed)
+            schema = self.table(name).schema
+            self.insert_packed(name, [schema.pack(row) for row in rows])
             return
         self.table(name).insert_many(rows)
+
+    def insert_packed(self, name, packed):
+        """Bulk-load pre-packed ``(n, tuple_words)`` cell data.  Under
+        durability the INSERT record is logged before the cells are
+        written — every durable load path comes through here."""
+        table = self.table(name)
+        packed = table.checked_packed(packed)
+        if self.durability is not None:
+            self.durability.log_insert(name, packed)
+        table.insert_packed(packed)
 
     def create_index(self, table_name, field_name) -> HashIndex:
         """Build a hash index over one field (after loading; the index

@@ -19,7 +19,7 @@ from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import LayoutError, SqlError
 from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
-from repro.imdb.chunks import IntraLayout, Run
+from repro.imdb.chunks import IntraLayout
 from repro.obs import tracer as obs
 from repro.imdb.planner import (
     AggregatePlan,
@@ -33,6 +33,11 @@ from repro.imdb.planner import (
     WideAggregatePlan,
     _compare,
 )
+
+#: Access constructor per op, for traces that are plain ``Access`` lists.
+_ISA_OF = {
+    Op.READ: isa.load, Op.WRITE: isa.store, Op.CREAD: isa.cload, Op.CWRITE: isa.cstore,
+}
 
 
 @dataclass
@@ -171,24 +176,36 @@ class Executor:
 
     def emit_rowwise_field_scan(self, trace, table, field_words):
         """Row-oriented scan touching the lines that hold the given field
-        words, walking memory rows sequentially (DRAM-friendly order)."""
+        words, walking memory rows sequentially (DRAM-friendly order).
+
+        Each chunk's cells are encoded as one array; a cell is read only
+        when its 64-byte line differs from the previous cell's (the last
+        line carries across chunk boundaries)."""
         offsets = sorted(table.field_offset(f, w) for f, w in field_words)
-        emit = trace.emit if isinstance(trace, TraceBuffer) else None
-        last_line = None
+        last_line = -1
         for chunk in table.chunks:
-            for chunk_row in range(chunk.used_rows()):
-                for offset in offsets:
-                    for sub, device_row, device_col, _tuple in chunk.row_cells(
-                        chunk_row, offset
-                    ):
-                        address = self._cell_row_address(sub, device_row, device_col)
-                        line = address // CACHE_LINE_BYTES
-                        if line != last_line:
-                            if emit is not None:
-                                emit(0, address, WORD_BYTES, 1)  # Op.READ
-                            else:
-                                trace.append(isa.load(address, WORD_BYTES, gap=1))
-                            last_line = line
+            sub, rows, cols, _tuples = chunk.row_scan_cells(offsets)
+            addresses = self.mapper.encode_cells(
+                *self._sub_coord(sub), rows, cols, Orientation.ROW
+            )
+            if not addresses.size:
+                continue
+            lines = addresses // CACHE_LINE_BYTES
+            new_line = np.diff(lines, prepend=last_line) != 0
+            last_line = int(lines[-1])
+            self._emit_block(trace, Op.READ, addresses[new_line], WORD_BYTES)
+
+    @staticmethod
+    def _emit_block(trace, op, addresses, sizes):
+        """Append same-``op`` accesses (gap 1) at ``addresses``: one
+        ``extend_bulk`` on a TraceBuffer, one ``Access`` each on a list."""
+        if isinstance(trace, TraceBuffer):
+            trace.extend_bulk(op, addresses, sizes, 1)
+            return
+        make = _ISA_OF[op]
+        sizes = np.broadcast_to(sizes, addresses.shape)
+        for address, size in zip(addresses.tolist(), sizes.tolist()):
+            trace.append(make(address, size, 1))
 
     def _emit_gather_scan(self, trace, table, field_name, word):
         """GS-DRAM gathered scan: one burst collects the field word of 8
@@ -384,30 +401,28 @@ class Executor:
         for name in fields:
             for word in range(table.schema.field(name).words):
                 offsets.append(table.field_offset(name, word))
+        matches = []
+        for chunk in table.chunks:
+            first = chunk.first_tuple
+            local_ids = ids[(ids >= first) & (ids < first + chunk.n_tuples)] - first
+            matches.append((chunk, local_ids))
         for offset in offsets:
-            for chunk in table.chunks:
-                first = chunk.first_tuple
-                local_ids = ids[(ids >= first) & (ids < first + chunk.n_tuples)] - first
-                lines = set()
-                for local in local_ids:
-                    row, col = chunk.local_cell(int(local), offset)
-                    lines.add((col, row & ~(WORDS_PER_LINE - 1)))
+            for chunk, local_ids in matches:
+                rows, cols = chunk.local_cells(local_ids, offset)
                 # Walk column by column so every open column buffer is
                 # fully exploited before moving on.
-                for col, line_row in sorted(lines):
-                    count = min(WORDS_PER_LINE, chunk.height - line_row)
-                    sub, device_row, device_col = chunk.device_cell(line_row, col)
-                    vertical = not chunk.placement.rotated
-                    run = Run(
-                        subarray=sub,
-                        vertical=vertical,
-                        fixed=device_col if vertical else device_row,
-                        start=device_row if vertical else device_col,
-                        count=count,
-                        first_tuple=0,
-                        tuple_stride=0,
-                    )
-                    self.emit_run(trace, run, write=write, gap=1)
+                lines = np.unique(cols * chunk.height + (rows & ~(WORDS_PER_LINE - 1)))
+                line_cols, line_rows = np.divmod(lines, chunk.height)
+                sub, device_rows, device_cols = chunk.device_cell(line_rows, line_cols)
+                if chunk.placement.rotated:
+                    orientation, op = Orientation.ROW, Op.WRITE if write else Op.READ
+                else:
+                    orientation, op = Orientation.COLUMN, Op.CWRITE if write else Op.CREAD
+                addresses = self.mapper.encode_cells(
+                    *self._sub_coord(sub), device_rows, device_cols, orientation
+                )
+                counts = np.minimum(WORDS_PER_LINE, chunk.height - line_rows)
+                self._emit_block(trace, op, addresses, counts * WORD_BYTES)
 
     def _rows_from_functional(self, table, mask, fields):
         ids = np.nonzero(mask)[0]

@@ -63,13 +63,17 @@ class Table:
 
     def insert_packed(self, packed):
         """Bulk-load pre-packed cell data of shape (n, tuple_words)."""
+        self._insert_packed(self.checked_packed(packed))
+
+    def checked_packed(self, packed):
+        """``packed`` as int64; raises unless its shape is (n, tuple_words)."""
         packed = np.asarray(packed, dtype=np.int64)
         if packed.ndim != 2 or packed.shape[1] != self.schema.tuple_words:
             raise LayoutError(
                 f"packed data must be (n, {self.schema.tuple_words}), "
                 f"got {packed.shape}"
             )
-        self._insert_packed(packed)
+        return packed
 
     def _insert_packed(self, packed):
         geometry = self.physmem.geometry

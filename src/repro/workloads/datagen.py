@@ -38,9 +38,8 @@ def generate_packed(table_name, n_tuples, tuple_words):
 def populate(database, table_name, fields, n_tuples, layout):
     """Create and bulk-load one benchmark table; returns the Table."""
     table = database.create_table(table_name, fields, layout=layout)
-    schema = table.schema
-    packed = generate_packed(table_name, n_tuples, schema.tuple_words)
-    table.insert_packed(packed)
+    packed = generate_packed(table_name, n_tuples, table.schema.tuple_words)
+    database.insert_packed(table_name, packed)
     return table
 
 

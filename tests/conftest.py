@@ -23,6 +23,7 @@ except ImportError:  # pragma: no cover - hypothesis is optional
     pass
 
 from repro.geometry import SMALL_DRAM_GEOMETRY, SMALL_RCNVM_GEOMETRY
+from repro.imdb.chunks import IntraLayout
 from repro.imdb.database import Database
 from repro.memsim.system import (
     make_dram,
@@ -54,6 +55,22 @@ def simple_rows(n, fields=4, seed=1, value_range=1000):
     rng = np.random.default_rng(seed)
     data = rng.integers(0, value_range, size=(n, fields))
     return [tuple(int(v) for v in row) for row in data]
+
+
+def row_cells_reference(chunk, chunk_row, offset_word):
+    """Per-cell reference for one chunk row of a row-major field scan:
+    ``(subarray, device_row, device_col, global_tuple)`` in slot order,
+    built from the scalar ``local_cell``/``device_cell``."""
+    if chunk.layout is IntraLayout.ROW:
+        base = chunk_row * chunk.slots
+        locals_ = range(base, min(base + chunk.slots, chunk.n_tuples))
+    else:
+        locals_ = range(chunk_row, chunk.n_tuples, chunk.height)
+    for local in locals_:
+        sub, device_row, device_col = chunk.device_cell(
+            *chunk.local_cell(local, offset_word)
+        )
+        yield sub, device_row, device_col, chunk.first_tuple + local
 
 
 @pytest.fixture

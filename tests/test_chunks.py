@@ -3,15 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import row_cells_reference
 from repro.errors import LayoutError
 from repro.imdb.binpack import Placement
 from repro.imdb.chunks import Chunk, IntraLayout, slice_table
 
 
 def make_chunk(layout, n=16, tw=2, width=8, height=8, rotated=False,
-               origin=(0, 0), subarray=0):
+               origin=(0, 0), subarray=0, first=0):
     chunk = Chunk(
-        first_tuple=0, n_tuples=n, tuple_words=tw, layout=layout,
+        first_tuple=first, n_tuples=n, tuple_words=tw, layout=layout,
         width=width, height=height,
     )
     placed_w, placed_h = (height, width) if rotated else (width, height)
@@ -152,16 +153,81 @@ class TestTupleAndRowRuns:
         assert run.vertical and run.fixed == 2
         assert run.count == chunk.used_rows()
 
-    def test_row_cells_row_layout(self):
+    def test_row_scan_cells_row_layout(self):
         chunk = make_chunk(IntraLayout.ROW, n=10)
-        cells = list(chunk.row_cells(2, 0))
+        _sub, rows, _cols, tuples = chunk.row_scan_cells([0])
         # Row 2 holds tuples 8, 9 only (10 tuples, 4 per row).
-        assert [c[3] for c in cells] == [8, 9]
+        assert tuples[rows == 2].tolist() == [8, 9]
 
-    def test_row_cells_column_layout(self):
+    def test_row_scan_cells_column_layout(self):
         chunk = make_chunk(IntraLayout.COLUMN, n=16)
-        cells = list(chunk.row_cells(3, 0))
-        assert [c[3] for c in cells] == [3, 11]
+        _sub, rows, _cols, tuples = chunk.row_scan_cells([0])
+        assert tuples[rows == 3].tolist() == [3, 11]
+
+    def test_row_scan_cells_rejects_bad_word(self):
+        chunk = make_chunk(IntraLayout.ROW)
+        with pytest.raises(LayoutError, match="word 2 outside tuple of 2"):
+            chunk.row_scan_cells([0, 2])
+
+
+@st.composite
+def placed_chunks(draw):
+    """A placed chunk with a possibly partial last row (ROW layout) or
+    short last group (COLUMN layout), possibly rotated."""
+    tw = draw(st.integers(1, 4))
+    slots = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 9))
+    return make_chunk(
+        draw(st.sampled_from([IntraLayout.ROW, IntraLayout.COLUMN])),
+        n=draw(st.integers(1, slots * height)),
+        tw=tw,
+        width=slots * tw,
+        height=height,
+        rotated=draw(st.booleans()),
+        origin=(draw(st.integers(0, 20)), draw(st.integers(0, 20))),
+        subarray=draw(st.integers(0, 3)),
+        first=draw(st.integers(0, 1000)),
+    )
+
+
+class TestVectorizedCells:
+    @given(placed_chunks(), st.data())
+    @settings(deadline=None)
+    def test_local_cells_match_local_cell(self, chunk, data):
+        indices = data.draw(st.lists(st.integers(0, chunk.n_tuples - 1), max_size=30))
+        word = data.draw(st.integers(0, chunk.tuple_words - 1))
+        rows, cols = chunk.local_cells(indices, word)
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            chunk.local_cell(index, word) for index in indices
+        ]
+
+    @given(placed_chunks(), st.data())
+    @settings(deadline=None)
+    def test_local_cells_raise_like_local_cell(self, chunk, data):
+        bad = data.draw(st.sampled_from([-1, chunk.n_tuples]))
+        with pytest.raises(LayoutError) as scalar:
+            chunk.local_cell(bad, 0)
+        with pytest.raises(LayoutError) as vectorized:
+            chunk.local_cells([0, bad], 0)
+        assert str(vectorized.value) == str(scalar.value)
+        with pytest.raises(LayoutError, match="outside tuple"):
+            chunk.local_cells([0], chunk.tuple_words)
+
+    @given(placed_chunks(), st.data())
+    @settings(deadline=None)
+    def test_row_scan_cells_follow_row_scan_order(self, chunk, data):
+        offsets = sorted(data.draw(st.lists(
+            st.integers(0, chunk.tuple_words - 1), min_size=1, unique=True,
+        )))
+        expected = [
+            cell
+            for chunk_row in range(chunk.used_rows())
+            for offset in offsets
+            for cell in row_cells_reference(chunk, chunk_row, offset)
+        ]
+        sub, rows, cols, tuples = chunk.row_scan_cells(offsets)
+        got = [(sub, r, c, t) for r, c, t in zip(rows.tolist(), cols.tolist(), tuples.tolist())]
+        assert got == expected
 
 
 class TestSliceTable:

@@ -1,12 +1,17 @@
 """Executor: results always match the reference engine; traces obey the
 system's capabilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import make_database, simple_rows
-from repro.core.addressing import Orientation
+from conftest import make_database, row_cells_reference, simple_rows
+from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.trace import Op
+from repro.cpu.tracebuffer import TraceBuffer
+from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
+from repro.imdb.planner import ScanMethod
 from repro.imdb.sql_parser import parse
 
 QUERIES = [
@@ -149,3 +154,171 @@ class TestGroupCachingTrace:
         db2 = self.build_wide_db()
         grouped = db2.execute("SELECT SUM(wide) FROM w", group_lines=16).cycles
         assert grouped < naive
+
+
+# -- vectorized emitters vs the scalar per-cell reference ----------------------
+def _coord(db, sub, device_row, device_col):
+    return Coordinate(*db.physmem.subarray_coord(sub), device_row, device_col)
+
+
+def reference_rowwise_scan(db, table, field_words):
+    """Per-cell row-wise scan: one encode per cell, a read per new line."""
+    trace = TraceBuffer()
+    offsets = sorted(table.field_offset(f, w) for f, w in field_words)
+    last_line = None
+    for chunk in table.chunks:
+        for chunk_row in range(chunk.used_rows()):
+            for offset in offsets:
+                for cell in row_cells_reference(chunk, chunk_row, offset):
+                    address = db.physmem.mapper.encode_row(_coord(db, *cell[:3]))
+                    if address // CACHE_LINE_BYTES != last_line:
+                        trace.emit(int(Op.READ), address, WORD_BYTES, 1)
+                        last_line = address // CACHE_LINE_BYTES
+    return trace
+
+
+def reference_column_fetch(db, table, ids, fields, write=False):
+    """Per-tuple selective column fetch: the set of (col, line row) pairs
+    holding matches, walked column by column."""
+    trace = TraceBuffer()
+    mapper = db.physmem.mapper
+    fields = fields if fields is not None else table.schema.field_names()
+    for name in fields:
+        for word in range(table.schema.field(name).words):
+            offset = table.field_offset(name, word)
+            for chunk in table.chunks:
+                first = chunk.first_tuple
+                lines = set()
+                for tuple_id in ids:
+                    if first <= tuple_id < first + chunk.n_tuples:
+                        row, col = chunk.local_cell(int(tuple_id) - first, offset)
+                        lines.add((col, row & ~(WORDS_PER_LINE - 1)))
+                for col, line_row in sorted(lines):
+                    size = min(WORDS_PER_LINE, chunk.height - line_row) * WORD_BYTES
+                    coord = _coord(db, *chunk.device_cell(line_row, col))
+                    if chunk.placement.rotated:
+                        op = Op.WRITE if write else Op.READ
+                        address = mapper.encode_row(coord)
+                    else:
+                        op = Op.CWRITE if write else Op.CREAD
+                        address = mapper.encode_col(coord)
+                    trace.emit(int(op), address, size, 1)
+    return trace
+
+
+def assert_same_columns(got, expected):
+    for got_column, expected_column in zip(got.columns(), expected.columns()):
+        np.testing.assert_array_equal(got_column, expected_column)
+    assert len(got) == len(expected)
+
+
+def _access_tuples(accesses):
+    return [
+        (a.op, a.address, a.size, a.gap, a.barrier, a.pin, a.coord, a.orientation)
+        for a in accesses
+    ]
+
+
+def _loaded(system, layout, fields, n, loads=1):
+    db = make_database(system, verify=False)
+    db.create_table("t", [(f"f{i}", 8) for i in range(1, fields + 1)], layout=layout)
+    for part in range(loads):
+        db.insert_many("t", simple_rows(n, fields, seed=part))
+    return db, db.table("t")
+
+
+def _rotate_in_place(table):
+    for chunk in table.chunks:
+        p = chunk.placement
+        chunk.placement = dataclasses.replace(
+            p, rotated=True, width=p.height, height=p.width
+        )
+
+
+class TestVectorizedEmitters:
+    """The per-chunk vectorized emitters produce exactly the per-cell
+    reference's trace columns."""
+
+    @pytest.mark.parametrize("system", ["DRAM", "RC-NVM"])
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_rowwise_scan_matches_reference(self, system, layout):
+        db, table = _loaded(system, layout, fields=6, n=700)
+        for field_words in ([("f2", 0)], [("f5", 0), ("f1", 0), ("f3", 0)]):
+            trace = TraceBuffer()
+            db.executor.emit_rowwise_field_scan(trace, table, field_words)
+            assert_same_columns(trace, reference_rowwise_scan(db, table, field_words))
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_multi_chunk_table_matches_reference(self, layout):
+        db, table = _loaded("RC-NVM", layout, fields=32, n=4200)
+        assert len(table.chunks) == 2
+        trace = TraceBuffer()
+        db.executor.emit_rowwise_field_scan(trace, table, [("f1", 0), ("f7", 0)])
+        assert_same_columns(
+            trace, reference_rowwise_scan(db, table, [("f1", 0), ("f7", 0)])
+        )
+
+    def test_last_line_carries_across_chunk_boundary(self):
+        # Two loads make two one-row chunks side by side on one device
+        # row; the second chunk's first cell shares the first chunk's
+        # last line, so the scan must not read that line twice.
+        db, table = _loaded("RC-NVM", "row", fields=2, n=13, loads=2)
+        first, second = table.chunks
+        assert (first.placement.y, second.placement.y) == (0, 0)
+        last_col = first.device_cell(*first.local_cell(12, 0))[2]
+        next_col = second.device_cell(*second.local_cell(0, 0))[2]
+        assert last_col // WORDS_PER_LINE == next_col // WORDS_PER_LINE
+        trace = TraceBuffer()
+        db.executor.emit_rowwise_field_scan(trace, table, [("f1", 0)])
+        expected = reference_rowwise_scan(db, table, [("f1", 0)])
+        assert_same_columns(trace, expected)
+        lines = (trace.columns()[1] // CACHE_LINE_BYTES).tolist()
+        assert len(lines) == len(set(lines))
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    @pytest.mark.parametrize("write", [False, True])
+    def test_column_fetch_matches_reference(self, layout, write):
+        db, table = _loaded("RC-NVM", layout, fields=6, n=900)
+        ids = np.nonzero(np.random.default_rng(5).random(table.n_tuples) < 0.2)[0]
+        for fields in (["f3", "f4"], None):
+            trace = TraceBuffer()
+            db.executor._emit_selective_column_fetch(trace, table, ids, fields, write=write)
+            assert_same_columns(
+                trace, reference_column_fetch(db, table, ids, fields, write=write)
+            )
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_rotated_chunk_matches_reference(self, layout):
+        db, table = _loaded("RC-NVM", layout, fields=3, n=40)
+        _rotate_in_place(table)
+        trace = TraceBuffer()
+        db.executor.emit_rowwise_field_scan(trace, table, [("f2", 0), ("f3", 0)])
+        assert_same_columns(
+            trace, reference_rowwise_scan(db, table, [("f2", 0), ("f3", 0)])
+        )
+        ids = np.arange(0, 40, 3)
+        for write in (False, True):
+            trace = TraceBuffer()
+            db.executor._emit_selective_column_fetch(trace, table, ids, None, write=write)
+            assert_same_columns(
+                trace, reference_column_fetch(db, table, ids, None, write=write)
+            )
+
+    def test_empty_id_set_emits_nothing(self):
+        db, table = _loaded("RC-NVM", "column", fields=4, n=300)
+        trace = TraceBuffer()
+        db.executor._emit_selective_column_fetch(trace, table, [], None)
+        assert len(trace) == 0
+        assert_same_columns(trace, reference_column_fetch(db, table, [], None))
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_list_traces_match_buffer_traces(self, layout):
+        db, table = _loaded("RC-NVM", layout, fields=4, n=500)
+        listed, buffered = [], TraceBuffer()
+        for trace in (listed, buffered):
+            db.executor.scan_field(trace, table, "f2", ScanMethod.ROW)
+            db.executor._emit_selective_column_fetch(
+                trace, table, np.arange(0, 500, 7), ["f1", "f3"], write=True
+            )
+        assert listed
+        assert _access_tuples(listed) == _access_tuples(buffered.to_accesses())
