@@ -153,13 +153,13 @@ class TestTupleAndRowRuns:
         assert run.vertical and run.fixed == 2
         assert run.count == chunk.used_rows()
 
-    def test_row_scan_cells_row_layout(self):
+    def test_row_cells_row_layout(self):
         chunk = make_chunk(IntraLayout.ROW, n=10)
         _sub, rows, _cols, tuples = chunk.row_scan_cells([0])
         # Row 2 holds tuples 8, 9 only (10 tuples, 4 per row).
         assert tuples[rows == 2].tolist() == [8, 9]
 
-    def test_row_scan_cells_column_layout(self):
+    def test_row_cells_column_layout(self):
         chunk = make_chunk(IntraLayout.COLUMN, n=16)
         _sub, rows, _cols, tuples = chunk.row_scan_cells([0])
         assert tuples[rows == 3].tolist() == [3, 11]
