@@ -123,20 +123,7 @@ class Machine:
                 fin = (
                     trace.finalize() if isinstance(trace, TraceBuffer) else trace
                 )
-                # The precise path raises on the first column/gather line
-                # to miss; on the fresh caches of a run such a line always
-                # misses (it can never have been filled — the fill sits
-                # behind this very check), so checking the whole trace up
-                # front is equivalent.
-                memory = self.memory
-                if fin.has_column and not memory.supports_column:
-                    raise CapabilityError(
-                        f"{memory.name} does not support column accesses"
-                    )
-                if fin.has_gather and not memory.supports_gather:
-                    raise CapabilityError(
-                        f"{memory.name} does not support gathered accesses"
-                    )
+                fin.check_capabilities(self.memory)
                 if kernel_eligible(self, fin, stream):
                     result = run_kernel(self, fin)
                 else:

@@ -142,17 +142,7 @@ class MulticoreMachine:
         for trace, stream in zip(traces, streams):
             if isinstance(trace, TraceBuffer):
                 fin = trace.finalize()
-                # Same errors the precise path raises on the first
-                # offending line to miss (which, with fill gated behind
-                # the request, it always reaches before caching one).
-                if fin.has_column and not memory.supports_column:
-                    raise CapabilityError(
-                        f"{memory.name} does not support column accesses"
-                    )
-                if fin.has_gather and not memory.supports_gather:
-                    raise CapabilityError(
-                        f"{memory.name} does not support gathered accesses"
-                    )
+                fin.check_capabilities(memory)
                 cursors.append(_SoaCursor(fin, memory.mapper, stream))
                 iterators.append(None)
             else:
@@ -260,14 +250,7 @@ class MulticoreMachine:
                     trace.finalize()
                     if isinstance(trace, TraceBuffer) else trace
                 )
-                if fin.has_column and not memory.supports_column:
-                    raise CapabilityError(
-                        f"{memory.name} does not support column accesses"
-                    )
-                if fin.has_gather and not memory.supports_gather:
-                    raise CapabilityError(
-                        f"{memory.name} does not support gathered accesses"
-                    )
+                fin.check_capabilities(memory)
                 cursor = _SoaCursor(fin, memory.mapper, stream)
                 tokens[core] = token
                 if cursor.n == 0:

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.addressing import Orientation
 from repro.cpu.trace import _ORIENTATION_OF, Access, Op
+from repro.errors import CapabilityError
 from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
 
 FLAG_BARRIER = 1
@@ -374,6 +375,19 @@ class FinalizedTrace:
         #: (see :mod:`repro.cpu.replaykernel`) — repeat replays of one
         #: finalized trace skip all array->list conversion work.
         self._kernel_cache = {}
+
+    def check_capabilities(self, memory):
+        """Raise :class:`CapabilityError` when ``memory`` cannot serve this
+        trace's column or gather lines.
+
+        The precise path raises on the first such line to miss; on the
+        fresh caches of a replay it always misses (its fill sits behind
+        the request), so checking the whole trace up front is equivalent.
+        """
+        if self.has_column and not memory.supports_column:
+            raise CapabilityError(f"{memory.name} does not support column accesses")
+        if self.has_gather and not memory.supports_gather:
+            raise CapabilityError(f"{memory.name} does not support gathered accesses")
 
     def replay_lists(self):
         """The per-line columns as plain Python lists (fast to index from

@@ -66,6 +66,22 @@ def measure_query(db, spec, group_lines=None) -> QueryMeasurement:
     )
 
 
+def run_workload(db, statements, sum_keys):
+    """Execute ``[(sql, params, hint), ...]`` in order, each from fresh
+    timing; returns the ``sum_keys`` memory counters summed over the
+    statements, their total cycles, and each statement's memory snapshot."""
+    totals = dict.fromkeys(sum_keys, 0)
+    cycles = 0
+    memories = []
+    for sql, params, hint in statements:
+        outcome = db.execute(sql, params=params, selectivity_hint=hint)
+        memories.append(outcome.timing.memory)
+        for key in sum_keys:
+            totals[key] += outcome.timing.memory[key]
+        cycles += outcome.timing.cycles
+    return totals, cycles, memories
+
+
 def run_sql_suite(
     systems=FIGURE_SYSTEMS,
     qids=SQL_BENCHMARK_IDS,

@@ -42,6 +42,12 @@ class FigureResult:
         index = list(self.headers).index(header)
         return [row[index] for row in self.rows]
 
+    @classmethod
+    def from_records(cls, name, title, records):
+        """A table of one row per dict of ``records``, keyed by header."""
+        headers = tuple(records[0]) if records else ()
+        return cls(name, title, headers, [tuple(r.values()) for r in records])
+
 
 # -- static tables -------------------------------------------------------------
 
@@ -183,16 +189,6 @@ def figure21(measurements):
     )
 
 
-def sql_figures_from_measurements(measurements, systems=FIGURE_SYSTEMS):
-    """Derive Figures 18-21 from an existing suite run (no simulation)."""
-    return {
-        "Figure 18": figure18(measurements, systems),
-        "Figure 19": figure19(measurements, systems),
-        "Figure 20": figure20(measurements, systems),
-        "Figure 21": figure21(measurements),
-    }
-
-
 def run_figures_18_21(
     scale=1.0,
     small=False,
@@ -212,7 +208,12 @@ def run_figures_18_21(
         verify=verify,
         sched_kwargs=sched_kwargs,
     )
-    return sql_figures_from_measurements(measurements, systems), measurements
+    return {
+        "Figure 18": figure18(measurements, systems),
+        "Figure 19": figure19(measurements, systems),
+        "Figure 20": figure20(measurements, systems),
+        "Figure 21": figure21(measurements),
+    }, measurements
 
 
 # -- reliability (extension) -----------------------------------------------------------

@@ -37,14 +37,6 @@ class MulticoreMeasurement:
     synonym: Dict[str, int]
     memory: Dict[str, object]
 
-    @property
-    def total_coherence_events(self):
-        return (
-            self.coherence.get("invalidations_sent", 0)
-            + self.coherence.get("downgrades", 0)
-            + self.coherence.get("llc_recalls", 0)
-        )
-
 
 def build_core_traces(db, core_mix=DEFAULT_CORE_MIX):
     """One trace per core: the concatenation of its queries' accesses."""

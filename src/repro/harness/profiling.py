@@ -11,20 +11,12 @@ the query, and reports:
 * a **top-N metric table** — the largest counters/gauges across memory
   controllers, cache levels and the synonym directory.
 
-Exposed as the ``profile`` subcommand of ``rcnvm-experiments``::
-
-    python -m repro.harness.cli profile --query q7 --system rcnvm
-    python -m repro.harness.cli profile --query q3 --json
-    python -m repro.harness.cli profile --chrome-out q7_trace.json
-
-``--chrome-out`` writes a Chrome-trace ("Trace Event Format") file that
-loads in ``about:tracing`` / Perfetto.  ``--smoke`` runs a tiny profile
-and self-checks the span/stats accounting (used by CI).
+Run as ``rcnvm-experiments profile`` (:mod:`repro.harness.cli`), whose
+``--smoke`` gate is :func:`check_profile`; ``--chrome-out`` also writes
+the Chrome-trace ("Trace Event Format") file for ``about:tracing``.
 """
 
-import argparse
 import json
-import sys
 from dataclasses import dataclass
 
 from repro.harness.report import format_metric_samples, format_span_tree
@@ -34,25 +26,17 @@ from repro.obs import tracer as obs
 from repro.workloads.queries import QUERIES
 from repro.workloads.suite import build_benchmark_database
 
-#: Forgiving CLI spellings of the paper's four system names.
-SYSTEM_ALIASES = {
-    "rcnvm": "RC-NVM",
-    "rc-nvm": "RC-NVM",
-    "rram": "RRAM",
-    "gsdram": "GS-DRAM",
-    "gs-dram": "GS-DRAM",
-    "dram": "DRAM",
-}
-
 
 def resolve_system(name):
-    """Map a CLI spelling (``rcnvm``, ``RC-NVM``, ...) to a system name."""
-    resolved = SYSTEM_ALIASES.get(name.lower())
-    if resolved is None:
-        raise ValueError(
-            f"unknown system {name!r}; expected one of {', '.join(SYSTEM_NAMES)}"
-        )
-    return resolved
+    """Map a CLI spelling (``rcnvm``, ``RC-NVM``, ``gs-dram``, ...) to a
+    system name: case and dashes do not matter."""
+    key = name.lower().replace("-", "")
+    for system in SYSTEM_NAMES:
+        if system.lower().replace("-", "") == key:
+            return system
+    raise ValueError(
+        f"unknown system {name!r}; expected one of {', '.join(SYSTEM_NAMES)}"
+    )
 
 
 def resolve_query(qid):
@@ -81,13 +65,16 @@ class ProfileResult:
         return self.outcome.timing.spans
 
     def to_dict(self):
-        """JSON-ready profile: span tree + full metric snapshot."""
+        """JSON-ready profile: span tree, the run's memory stats, the full
+        metric snapshot and the Chrome-trace export."""
         return {
             "query": self.qid,
             "system": self.system,
             "cycles": self.outcome.timing.cycles,
+            "memory": self.outcome.timing.memory,
             "spans": self.spans,
             "metrics": self.registry.snapshot(),
+            "chrome_trace": self.tracer.to_chrome_trace(),
         }
 
 
@@ -137,40 +124,41 @@ def render_profile(profile: ProfileResult, top=12):
     return "\n".join(lines)
 
 
-def check_profile(profile: ProfileResult):
+def check_profile(result):
     """Span/stats consistency violations of one profile, as strings.
 
-    The same accounting the acceptance test and ``--smoke`` pin down: the
-    root span's simulated totals must equal the run's ``MemoryStats``
-    numbers, and the Chrome-trace export must be structurally valid.
+    ``result`` is :meth:`ProfileResult.to_dict`, plus ``template_hits``
+    and ``repeats`` when the query was served through the template cache.
+    The root span's simulated totals must equal the run's ``MemoryStats``
+    numbers, the Chrome-trace export must be structurally valid, and
+    every repeat after the first must hit the template cache.
     """
     problems = []
-    timing = profile.outcome.timing
-    spans = profile.spans
+    memory = result["memory"]
+    spans = result["spans"]
     if not spans or spans.get("name") != "query":
         problems.append(f"root span is {spans and spans.get('name')!r}, not 'query'")
         return problems
     metrics = spans.get("metrics", {})
-    if metrics.get("cycles") != timing.cycles:
+    if metrics.get("cycles") != result["cycles"]:
         problems.append(
             f"root span cycles {metrics.get('cycles')} != "
-            f"MemoryStats-derived run cycles {timing.cycles}"
+            f"MemoryStats-derived run cycles {result['cycles']}"
         )
-    if metrics.get("memory_accesses") != timing.memory["accesses"]:
+    if metrics.get("memory_accesses") != memory["accesses"]:
         problems.append(
             f"root span memory_accesses {metrics.get('memory_accesses')} != "
-            f"MemoryStats accesses {timing.memory['accesses']}"
+            f"MemoryStats accesses {memory['accesses']}"
         )
     mix = metrics.get("orientation_mix", {})
     for key, field_name in (("row", "row_oriented"), ("column", "col_oriented"),
                             ("gather", "gathers")):
-        if mix.get(key) != timing.memory[field_name]:
+        if mix.get(key) != memory[field_name]:
             problems.append(
                 f"orientation_mix[{key!r}] {mix.get(key)} != "
-                f"MemoryStats {field_name} {timing.memory[field_name]}"
+                f"MemoryStats {field_name} {memory[field_name]}"
             )
-    trace = profile.tracer.to_chrome_trace()
-    events = trace.get("traceEvents")
+    events = result["chrome_trace"].get("traceEvents")
     if not events:
         problems.append("chrome trace has no events")
     for event in events or ():
@@ -181,87 +169,36 @@ def check_profile(profile: ProfileResult):
         else:
             if event["ph"] != "X" or not isinstance(event["ts"], (int, float)):
                 problems.append(f"malformed chrome trace event: {event}")
-    reads = profile.registry.get("memory.reads", {"system": profile.system,
-                                                 "channel": 0})
-    if reads is None:
+    if f"channel=0,system={result['system']}" not in result["metrics"].get(
+        "memory.reads", {}
+    ):
         problems.append("registry lacks memory.reads for channel 0")
+    if "repeats" in result and result["template_hits"] != result["repeats"] - 1:
+        problems.append(
+            f"template cache hits {result['template_hits']} != "
+            f"{result['repeats'] - 1} over {result['repeats']} repeats"
+        )
     return problems
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="rcnvm-experiments profile",
-        description="Profile one benchmark query: span tree + top metrics.",
+def run_experiment(p):
+    """The ``profile`` experiment's ``(result, table)``; the result is
+    :meth:`ProfileResult.to_dict`, plus the template-cache hits and
+    repeat count under ``p.template_cache``."""
+    repeats = max(1, p.repeats) if p.template_cache else 1
+    profile = profile_query(
+        qid=p.query, system=p.system, scale=p.scale, small=p.small,
+        template_cache=p.template_cache, repeats=repeats,
     )
-    parser.add_argument("--query", default="Q7",
-                        help="benchmark query id (default Q7)")
-    parser.add_argument("--system", default="RC-NVM",
-                        help="memory system: rcnvm, rram, gsdram, dram "
-                             "(default RC-NVM)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="table-size scale factor (default 0.1)")
-    parser.add_argument("--small", action="store_true",
-                        help="use the small test geometry and caches")
-    parser.add_argument("--top", type=int, default=12,
-                        help="metric table row count (default 12)")
-    parser.add_argument("--template-cache", action="store_true",
-                        help="serve the query through the plan/trace "
-                             "template cache (see --repeats)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="executions of the query when --template-cache "
-                             "is on: first misses, the rest hit (default 3)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the profile as JSON instead of text")
-    parser.add_argument("--chrome-out", default=None, metavar="PATH",
-                        help="also write a Chrome-trace (about:tracing) file")
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny self-checking run for CI (implies --small)")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.small = True
-        args.scale = min(args.scale, 0.05)
-    try:
-        profile = profile_query(
-            qid=args.query, system=args.system, scale=args.scale,
-            small=args.small, template_cache=args.template_cache,
-            repeats=args.repeats if args.template_cache else 1,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.chrome_out:
-        with open(args.chrome_out, "w") as handle:
-            json.dump(profile.tracer.to_chrome_trace(), handle, indent=2)
+    result = profile.to_dict()
+    text = render_profile(profile)
+    if p.template_cache:
+        result["template_hits"] = profile.database.template_cache.stats.hits
+        result["repeats"] = repeats
+    if p.chrome_out:
+        with open(p.chrome_out, "w") as handle:
+            json.dump(result["chrome_trace"], handle, indent=2)
             handle.write("\n")
-
-    if args.json:
-        print(json.dumps(profile.to_dict(), indent=2))
-    else:
-        print(render_profile(profile, top=args.top))
-        if args.chrome_out:
-            print(f"\nchrome trace written to {args.chrome_out} "
-                  "(load in about:tracing or ui.perfetto.dev)")
-
-    if args.smoke:
-        problems = check_profile(profile)
-        if args.template_cache:
-            # The first execution misses and stores; every repeat must hit.
-            hits = profile.database.template_cache.stats.hits
-            expected = max(1, args.repeats) - 1
-            if hits != expected:
-                problems.append(
-                    f"template cache hits {hits} != {expected} "
-                    f"over {args.repeats} repeats"
-                )
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("smoke: span/stats accounting consistent")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        text += (f"\n\nchrome trace written to {p.chrome_out} "
+                 "(load in about:tracing or ui.perfetto.dev)")
+    return result, text

@@ -16,15 +16,8 @@ A final no-crash pass over the same workload reports WAL
 write-amplification (WAL cells written per logical data word), the
 durable-commit overhead metric of Ma et al.-style persistence studies.
 
-::
-
-    python -m repro.harness.cli recover
-    python -m repro.harness.cli recover --smoke
+Run as ``rcnvm-experiments recover`` (:mod:`repro.harness.cli`).
 """
-
-import argparse
-import sys
-import time
 
 from repro.durability import CRASH_SITES, CrashInjector, SimulatedCrash, recover
 from repro.harness.figures import FigureResult
@@ -55,14 +48,6 @@ def _build(wal_rows=None, system="RC-NVM"):
     return db
 
 
-def _oracle_after_committed():
-    state = {i: i * 10 for i in range(N_ROWS)}
-    for i in range(N_ROWS):
-        if i < 8:
-            state[i] = 1111
-    return state
-
-
 def _state_of(db):
     table = db.tables["kv"]
     return {
@@ -77,7 +62,6 @@ def _inject_uncorrectable(db):
     p = chunk.placement
     db.ecc.inject_fault(p.bin_index, p.y, p.x, 3)
     db.ecc.inject_fault(p.bin_index, p.y, p.x, 17)
-    return (p.bin_index, p.y, p.x)
 
 
 def _crash_one_site(site, wal_rows=None):
@@ -87,7 +71,7 @@ def _crash_one_site(site, wal_rows=None):
     tiered = site == "during-migration"
     db = _build(wal_rows=wal_rows, system="TIERED" if tiered else "RC-NVM")
     db.execute(COMMITTED_SQL)
-    expected = _oracle_after_committed()
+    expected = {i: 1111 if i < 8 else i * 10 for i in range(N_ROWS)}
 
     db.durability.injector = CrashInjector(site)
     crashed_in = None
@@ -158,64 +142,71 @@ def _write_amplification(wal_rows=None):
     return wal_words, data_words, wal_words / data_words
 
 
-def run_recover(wal_rows=None, sites=CRASH_SITES):
-    """The crash-site sweep; returns ``(FigureResult, all_ok)``."""
+def sweep_sites(wal_rows=None, sites=CRASH_SITES):
+    """Crash and recover at every site, then the no-crash WAL pass: one
+    :func:`_crash_one_site` dict per site plus the write amplification."""
+    results = [_crash_one_site(site, wal_rows=wal_rows) for site in sites]
+    wal_words, data_words, amp = _write_amplification(wal_rows=wal_rows)
+    return {
+        "sites": results,
+        "wal_words": wal_words,
+        "data_words": data_words,
+        "write_amplification": amp,
+    }
+
+
+def figure(result):
+    """The sweep as a table, one row per crash site."""
     rows = []
-    all_ok = True
-    for site in sites:
-        result = _crash_one_site(site, wal_rows=wal_rows)
-        if not result["fired"]:
-            rows.append((site, result["crashed_in"], "-", "-", "-", "NO CRASH"))
-            all_ok = False
+    for site in result["sites"]:
+        if not site["fired"]:
+            rows.append((site["site"], site["crashed_in"], "-", "-", "-",
+                         "NO CRASH"))
             continue
-        ok = result["state_ok"] and result["resumed_ok"]
-        all_ok = all_ok and ok
+        ok = site["state_ok"] and site["resumed_ok"]
         rows.append((
-            site,
-            result["crashed_in"],
-            result["scanned"],
-            result["replayed"],
-            result["discarded"],
+            site["site"], site["crashed_in"], site["scanned"],
+            site["replayed"], site["discarded"],
             "ok" if ok else "STATE MISMATCH",
         ))
-    wal_words, data_words, amp = _write_amplification(wal_rows=wal_rows)
-    figure = FigureResult(
+    return FigureResult(
         name="Recover",
         title="Kill-and-recover sweep over the durability crash sites",
         headers=("site", "crashed in", "wal records", "replayed",
                  "discarded", "recovered"),
         rows=rows,
         notes=(
-            f"no-crash WAL write amplification: {wal_words} WAL cells / "
-            f"{data_words} data words = {amp:.2f}x"
+            f"no-crash WAL write amplification: {result['wal_words']} WAL "
+            f"cells / {result['data_words']} data words = "
+            f"{result['write_amplification']:.2f}x"
         ),
     )
-    return figure, all_ok
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="rcnvm-experiments recover",
-        description=(
-            "Durability crash-site sweep: kill a durable workload at each "
-            "named site, recover from surviving NVM cells + WAL, verify "
-            "committed state."
-        ),
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: identical sweep, exit 1 on any "
-                             "unrecovered site")
-    parser.add_argument("--wal-rows", type=int, default=None,
-                        help="rows reserved for the WAL rectangle "
-                             "(default: a full subarray)")
-    args = parser.parse_args(argv)
-
-    start = time.time()
-    figure, all_ok = run_recover(wal_rows=args.wal_rows)
-    print(figure.render())
-    print(f"[recover sweep in {time.time() - start:.1f}s]")
-    return 0 if all_ok else 1
+def check(result):
+    """The ``recover --smoke`` gate: every site's crash fires, and the
+    recovered state, and the state after one more statement, match the
+    committed-prefix oracle."""
+    problems = []
+    for site in result["sites"]:
+        if not site["fired"]:
+            problems.append(
+                f"{site['site']}: crash never fired in {site['crashed_in']}"
+            )
+        elif not site["state_ok"]:
+            problems.append(f"{site['site']}: state mismatch after recovery")
+        elif not site["resumed_ok"]:
+            problems.append(f"{site['site']}: resume mismatch after recovery")
+    return problems
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run_recover(wal_rows=None, sites=CRASH_SITES):
+    """The crash-site sweep; returns ``(FigureResult, all_ok)``."""
+    result = sweep_sites(wal_rows=wal_rows, sites=sites)
+    return figure(result), not check(result)
+
+
+def run_experiment(p):
+    """The ``recover`` experiment; returns ``(result, table)``."""
+    result = sweep_sites()
+    return result, figure(result).render()

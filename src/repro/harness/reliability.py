@@ -9,13 +9,10 @@ prove the data survived.  The scrub overhead is charged to the memory
 system's own statistics (``scrub_reads`` / ``scrub_cycles``), so
 reliability shows up in the same accounting as the paper's figures.
 
-Runnable directly for the CI smoke check::
-
-    python -m repro.harness.reliability --smoke --seed 7
+Run as ``rcnvm-experiments faults`` (:mod:`repro.harness.cli`); its
+``--smoke`` gate is :meth:`FaultsOutcome.check`.
 """
 
-import argparse
-import sys
 from dataclasses import dataclass
 
 from repro.harness.systems import (
@@ -68,25 +65,27 @@ class FaultsOutcome:
     queries_verified: int
 
     def check(self):
-        """Raise AssertionError if any pipeline invariant is broken."""
+        """Broken pipeline invariants, as problem strings (empty: sound)."""
+        problems = []
         if self.injected != self.corrected + self.detected:
-            raise AssertionError(
+            problems.append(
                 f"{self.system}: injected {self.injected} != corrected "
                 f"{self.corrected} + detected {self.detected}"
             )
         if self.recovered != self.detected:
-            raise AssertionError(
+            problems.append(
                 f"{self.system}: recovered {self.recovered} of "
                 f"{self.detected} detected cells"
             )
         if self.resweep_corrected or self.resweep_detected:
-            raise AssertionError(
+            problems.append(
                 f"{self.system}: second sweep not clean "
                 f"({self.resweep_corrected} corrected, "
                 f"{self.resweep_detected} detected)"
             )
         if self.scrub_cycles <= 0 or self.scrub_reads <= 0:
-            raise AssertionError(f"{self.system}: scrub cost not charged")
+            problems.append(f"{self.system}: scrub cost not charged")
+        return problems
 
 
 def _run_query(db, qid, verify):
@@ -210,44 +209,7 @@ def run_faults(
     return outcomes
 
 
-def main(argv=None):
-    """CI smoke entry point (small geometry, asserted invariants)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.reliability",
-        description="Run the reliability fault campaign.",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--fault-rate", type=float, default=0.0005)
-    parser.add_argument("--fault-mode", default="uniform",
-                        choices=("uniform", "hotline", "burst"))
-    parser.add_argument("--double-fraction", type=float, default=0.25)
-    parser.add_argument("--scale", type=float, default=0.02)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small geometry; exit nonzero unless every "
-                             "pipeline invariant holds")
-    args = parser.parse_args(argv)
-    outcomes = run_faults(
-        scale=args.scale,
-        small=args.smoke,
-        fault_rate=args.fault_rate,
-        mode=args.fault_mode,
-        double_fraction=args.double_fraction,
-        seed=args.seed,
-    )
-    from repro.harness.figures import faults_figure
-
-    print(faults_figure(outcomes).render())
-    if args.smoke:
-        try:
-            for outcome in outcomes:
-                outcome.check()
-        except AssertionError as error:
-            print(f"smoke check FAILED: {error}", file=sys.stderr)
-            return 1
-        print("smoke check passed: injected == corrected + detected, "
-              "all detected cells recovered, second sweep clean")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def check(result):
+    """The ``faults --smoke`` gate: :meth:`FaultsOutcome.check` of every
+    outcome in the experiment's result (one dict per system)."""
+    return [problem for o in result for problem in FaultsOutcome(**o).check()]

@@ -8,18 +8,11 @@ SLOs (p50/p99 latency, throughput, queue depth, shed counts) plus a
 fairness check and a per-stream row-buffer hit-rate comparison against a
 global-FIFO (``policy="fcfs"``) baseline.
 
-CLI::
-
-    rcnvm-experiments serve --smoke
-    rcnvm-experiments serve --tenants 8 --gap 20000 --arrival mixed
-    rcnvm-experiments serve --sweep --json serve_sweep.json
+Run as ``rcnvm-experiments serve`` (:mod:`repro.harness.cli`).
 """
 
-import argparse
-import json
-import sys
-
 from repro.cpu.multicore import MulticoreMachine
+from repro.harness.figures import FigureResult
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.serving import ServingSimulator, TenantSpec
 from repro.serving.slo import slo_table
@@ -30,11 +23,11 @@ from repro.workloads.suite import build_benchmark_database
 MIX_WIDTH = 3
 
 #: Tenant-private range UPDATE making the default mix OLXP rather than
-#: read-only.  Write traffic is where the scheduling policies separate:
-#: FR-FCFS buffers writebacks and drains them in row-batched episodes,
-#: while the global-FIFO baseline interleaves them with reads in arrival
-#: order, thrashing the row buffers.
-_UPDATE_SQL = "UPDATE table-b SET f3 = x, f4 = y WHERE f10 > z AND f10 < w"
+#: read-only (the tier and wear workloads reuse it).  Write traffic is
+#: where the scheduling policies separate: FR-FCFS buffers writebacks and
+#: drains them in row-batched episodes, while the global-FIFO baseline
+#: interleaves them with reads in arrival order, thrashing the row buffers.
+UPDATE_SQL = "UPDATE table-b SET f3 = x, f4 = y WHERE f10 > z AND f10 < w"
 
 
 def tenant_mix(index, writes=True):
@@ -49,7 +42,7 @@ def tenant_mix(index, writes=True):
     if writes:
         low = 100 + (index * 37) % 800
         mix.append((
-            _UPDATE_SQL,
+            UPDATE_SQL,
             {"x": index + 1, "y": index + 2, "z": low, "w": low + 60},
             None,
         ))
@@ -177,123 +170,57 @@ def sweep_serving(system_name="RC-NVM", scale=0.1,
     return rows
 
 
-def _render_sweep(rows):
-    header = (
-        f"{'tenants':>7}  {'gap':>8}  {'makespan':>10}  {'done':>5}  "
-        f"{'shed':>5}  {'fairness':>8}  {'p99 max':>10}  {'hit rate':>8}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['tenants']:>7}  {row['mean_gap']:>8}  {row['makespan']:>10}  "
-            f"{row['statements']:>5}  {row['shed']:>5}  {row['fairness']:>8.2f}  "
-            f"{row['worst_p99_cycles']:>10.0f}  {row['stream_hit_rate']:>8.3f}"
-        )
-    return "\n".join(lines)
+def render(result):
+    """The report of one :func:`run_serving` result."""
+    config, report = result["config"], result["report"]
+    return "\n".join((
+        f"system {report['system']}  tenants {config['tenants']}  "
+        f"arrival {config['arrival']}  gap {config['mean_gap']}",
+        slo_table(report["tenants"]),
+        f"\nmakespan {report['makespan']} cycles  rounds {report['rounds']}  "
+        f"completed {report['statements']}  shed {report['shed']}",
+        f"fairness (max/min throughput) {report['fairness']:.2f}",
+        f"per-stream row-buffer hit rate {result['stream_hit_rate']:.3f}",
+        f"global-FIFO baseline hit rate "
+        f"{result['baseline']['stream_hit_rate']:.3f}  "
+        f"(delta {result['hit_rate_delta']:+.3f})",
+    ))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="rcnvm-experiments serve",
-        description="Multi-tenant serving front end (SLOs, fairness, "
-                    "fair-share vs global-FIFO hit rate).",
-    )
-    parser.add_argument("--system", default="RC-NVM",
-                        help="memory system (default RC-NVM)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="table-size scale factor (default 0.1)")
-    parser.add_argument("--tenants", type=int, default=4,
-                        help="number of tenant sessions (default 4)")
-    parser.add_argument("--arrival", choices=("open", "closed", "mixed"),
-                        default="mixed",
-                        help="arrival model; mixed alternates (default)")
-    parser.add_argument("--gap", type=int, default=30_000,
-                        help="mean interarrival/think gap in cycles (default 30000)")
-    parser.add_argument("--statements", type=int, default=8,
-                        help="statements per tenant (default 8)")
-    parser.add_argument("--depth", type=int, default=8,
-                        help="per-tenant admission queue depth (default 8)")
-    parser.add_argument("--cores", type=int, default=4,
-                        help="multicore machine cores (default 4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="arrival RNG seed base (default 0)")
-    parser.add_argument("--small", action="store_true",
-                        help="small geometry and caches")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="skip the global-FIFO comparison run")
-    parser.add_argument("--sweep", action="store_true",
-                        help="run the tenant-count x arrival-rate grid")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fast CI configuration (small, scale 0.05)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the full result as JSON")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.small = True
-        args.scale = min(args.scale, 0.05)
-        args.statements = min(args.statements, 4)
-
-    if args.sweep:
+def run_experiment(p):
+    """The ``serve`` experiment's ``(result, table)``: one run against the
+    global-FIFO baseline, or with ``p.sweep`` the tenant x gap grid."""
+    if p.sweep:
         rows = sweep_serving(
-            args.system, args.scale,
-            tenant_counts=(2, args.tenants),
-            mean_gaps=(args.gap // 3, args.gap, args.gap * 3),
-            arrival=args.arrival, n_statements=args.statements,
-            admission_depth=args.depth, seed=args.seed, small=args.small,
-            n_cores=args.cores,
+            p.system, p.scale, tenant_counts=(2, p.tenants),
+            mean_gaps=(p.gap // 3, p.gap, p.gap * 3), arrival=p.arrival,
+            n_statements=p.statements, seed=p.seed, small=p.small,
         )
-        print(_render_sweep(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-            print(f"[sweep written to {args.json}]")
-        return 0
-
+        title = "tenant count x mean arrival gap (cycles)"
+        return rows, FigureResult.from_records("Serve sweep", title, rows).render()
     result = run_serving(
-        args.system, args.scale, args.tenants, args.arrival, args.gap,
-        args.statements, args.depth, args.seed, args.small, args.cores,
-        baseline=not args.no_baseline,
+        p.system, p.scale, p.tenants, p.arrival, p.gap,
+        n_statements=p.statements, seed=p.seed, small=p.small,
     )
+    return result, render(result)
+
+
+def check(result):
+    """The ``serve --smoke`` gate: every tenant finishes, nothing is shed
+    (admission control should be idle at the smoke load), fairness is
+    bounded, and the fair-share arbiter keeps per-stream locality at or
+    above the global-FIFO baseline."""
     report = result["report"]
-    print(f"system {report['system']}  tenants {args.tenants}  "
-          f"arrival {args.arrival}  gap {args.gap}")
-    print(slo_table(report["tenants"]))
-    print(f"\nmakespan {report['makespan']} cycles  rounds {report['rounds']}  "
-          f"completed {report['statements']}  shed {report['shed']}")
-    print(f"fairness (max/min throughput) {report['fairness']:.2f}")
-    print(f"per-stream row-buffer hit rate {result['stream_hit_rate']:.3f}")
-    if "baseline" in result:
-        base = result["baseline"]
-        print(f"global-FIFO baseline hit rate {base['stream_hit_rate']:.3f}  "
-              f"(delta {result['hit_rate_delta']:+.3f})")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-        print(f"[result written to {args.json}]")
-    # Smoke gate: every tenant finishes, nothing is shed (admission
-    # control should be idle at the smoke load), fairness is bounded, and
-    # the fair-share arbiter keeps per-stream locality at or above the
-    # global-FIFO baseline.
-    if args.smoke:
-        failures = []
-        starved = [t["tenant"] for t in report["tenants"] if t["completed"] == 0]
-        if starved:
-            failures.append(f"starved tenants {starved}")
-        if report["shed"]:
-            failures.append(f"shed {report['shed']} statements")
-        if report["fairness"] > 3.0:
-            failures.append(f"fairness ratio {report['fairness']:.2f} > 3.0")
-        if "baseline" in result and result["hit_rate_delta"] < -0.005:
-            failures.append(
-                f"hit rate {result['hit_rate_delta']:+.4f} below global FIFO"
-            )
-        if failures:
-            print(f"SMOKE FAIL: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        print("SMOKE OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    problems = []
+    starved = [t["tenant"] for t in report["tenants"] if t["completed"] == 0]
+    if starved:
+        problems.append(f"starved tenants {starved}")
+    if report["shed"]:
+        problems.append(f"shed {report['shed']} statements")
+    if report["fairness"] > 3.0:
+        problems.append(f"fairness ratio {report['fairness']:.2f} > 3.0")
+    if result["hit_rate_delta"] < -0.005:
+        problems.append(
+            f"hit rate {result['hit_rate_delta']:+.4f} below global FIFO"
+        )
+    return problems

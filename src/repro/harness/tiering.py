@@ -12,33 +12,22 @@ runs DDR3 timing; even its buffer misses are far cheaper than NVM
 activations), so it measures how much traffic the hot tier absorbs on
 top of the locality the buffers already capture.
 
-CLI::
-
-    rcnvm-experiments tier --smoke
-    rcnvm-experiments tier --fraction 0.25 --workload mixed
-    rcnvm-experiments tier --sweep --json tier_sweep.json
+Run as ``rcnvm-experiments tier`` (:mod:`repro.harness.cli`).
 """
 
-import argparse
-import json
-import sys
-
+from repro.harness.experiment import run_workload
+from repro.harness.figures import FigureResult
+from repro.harness.serve import UPDATE_SQL
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.workloads.queries import QUERIES, SQL_BENCHMARK_IDS
 from repro.workloads.suite import build_benchmark_database
 
-#: Statement counters summed across the workload (controller stats reset
-#: with every statement's fresh timing, so the harness accumulates from
-#: each outcome's memory snapshot).
+#: Statement counters summed across the workload (see ``run_workload``).
 _SUM_KEYS = (
     "accesses", "buffer_hits",
     "tier_dram_accesses", "tier_nvm_accesses",
     "tier_dram_hits", "tier_nvm_hits",
 )
-
-#: Range UPDATE (same shape as the serving mix) making ``mixed`` OLXP:
-#: dirty lines must flush back through whichever tier owns the chunk.
-_UPDATE_SQL = "UPDATE table-b SET f3 = x, f4 = y WHERE f10 > z AND f10 < w"
 
 
 def build_workload(kind="mixed", rounds=6):
@@ -47,7 +36,8 @@ def build_workload(kind="mixed", rounds=6):
     The first three suite queries repeat every round (the hot set the
     migration engine should learn), the rest of the suite rotates one
     query per round (the cold tail), and ``mixed`` appends a range
-    UPDATE per round.  Returns ``[(sql, params, hint), ...]``.
+    UPDATE per round, whose dirty lines must flush back through whichever
+    tier owns the chunk.  Returns ``[(sql, params, hint), ...]``.
     """
     if kind not in ("read", "mixed"):
         raise ValueError(f"unknown workload {kind!r}; choose read or mixed")
@@ -61,25 +51,12 @@ def build_workload(kind="mixed", rounds=6):
         if kind == "mixed":
             low = 100 + (round_index * 53) % 800
             statements.append((
-                _UPDATE_SQL,
+                UPDATE_SQL,
                 {"x": round_index + 1, "y": round_index + 2,
                  "z": low, "w": low + 60},
                 None,
             ))
     return statements
-
-
-def _run_workload(db, statements):
-    """Execute every statement; returns (summed counters, total cycles)."""
-    totals = dict.fromkeys(_SUM_KEYS, 0)
-    cycles = 0
-    for sql, params, hint in statements:
-        outcome = db.execute(sql, params=params, selectivity_hint=hint)
-        memory = outcome.timing.memory
-        for key in _SUM_KEYS:
-            totals[key] += memory[key]
-        cycles += outcome.timing.cycles
-    return totals, cycles
 
 
 def _aggregate_hit_rate(totals):
@@ -122,12 +99,14 @@ def run_tier(dram_fraction=0.25, workload="mixed", scale=0.1, rounds=6,
     engine.capacity_cells = max(1, int(dram_fraction * _total_cells(db)))
     engine.epoch_statements = epoch_statements
     engine.max_moves_per_epoch = 8
-    totals, cycles = _run_workload(db, statements)
+    totals, cycles, _memories = run_workload(db, statements, _SUM_KEYS)
 
     base_memory = build_system("RC-NVM", small=small, **(sched_kwargs or {}))
     base_db = build_benchmark_database(base_memory, scale=scale,
                                        cache_config=cache_config)
-    base_totals, base_cycles = _run_workload(base_db, statements)
+    base_totals, base_cycles, _memories = run_workload(
+        base_db, statements, _SUM_KEYS
+    )
 
     problems = engine.check_consistency()
     tiered_rate = _aggregate_hit_rate(totals)
@@ -187,114 +166,49 @@ def sweep_tier(fractions=(0.125, 0.25, 0.5), workloads=("read", "mixed"),
     return rows
 
 
-def _render_sweep(rows):
-    header = (
-        f"{'workload':>8}  {'frac':>5}  {'hit rate':>8}  {'baseline':>8}  "
-        f"{'delta':>7}  {'promo':>5}  {'demo':>4}  {'cycles':>12}"
+def figure(result):
+    """One :func:`run_tier` result against the untiered baseline."""
+    config, tiered, base = result["config"], result["tiered"], result["baseline"]
+    migration = tiered["migration"]
+    return FigureResult(
+        name="Tier",
+        title=(f"{config['workload']} workload, DRAM fraction "
+               f"{config['dram_fraction']} ({config['capacity_cells']} cells), "
+               f"{config['statements']} statements"),
+        headers=("system", "aggregate hit rate", "DRAM share", "cycles"),
+        rows=[("TIERED", tiered["aggregate_hit_rate"],
+               tiered["dram_access_share"], tiered["cycles"]),
+              ("RC-NVM", base["aggregate_hit_rate"], 0.0, base["cycles"])],
+        notes=(f"delta {result['hit_rate_delta']:+.3f}; "
+               f"{migration['promotions']} promoted, {migration['demotions']} "
+               f"demoted, {migration['migrated_cells']} cells moved, "
+               f"{migration['dram_resident_cells']} resident"),
     )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['workload']:>8}  {row['dram_fraction']:>5.3f}  "
-            f"{row['aggregate_hit_rate']:>8.3f}  {row['baseline_hit_rate']:>8.3f}  "
-            f"{row['hit_rate_delta']:>+7.3f}  {row['promotions']:>5}  "
-            f"{row['demotions']:>4}  {row['cycles']:>12}"
+
+
+def run_experiment(p):
+    """The ``tier`` experiment's ``(result, table)``: one run against
+    untiered RC-NVM, or with ``p.sweep`` the fraction x workload grid."""
+    if p.sweep:
+        rows = sweep_tier(scale=p.scale, rounds=p.rounds, small=p.small)
+        title = "DRAM fraction x workload vs untiered RC-NVM"
+        return rows, FigureResult.from_records("Tier sweep", title, rows).render()
+    result = run_tier(p.fraction, p.workload, scale=p.scale, rounds=p.rounds,
+                      small=p.small)
+    return result, figure(result).render()
+
+
+def check(result):
+    """The ``tier --smoke`` gate: the hot tier must absorb traffic (strictly
+    higher aggregate hit rate than no-DRAM RC-NVM), migrations must
+    actually happen, and the engine must audit clean."""
+    problems = []
+    if result["hit_rate_delta"] <= 0:
+        problems.append(
+            f"aggregate hit rate {result['hit_rate_delta']:+.4f} not "
+            "above the untiered baseline"
         )
-    return "\n".join(lines)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="rcnvm-experiments tier",
-        description="Hybrid DRAM + RC-NVM tier: capacity sweep and "
-                    "hit-rate comparison against untiered RC-NVM.",
-    )
-    parser.add_argument("--fraction", type=float, default=0.25,
-                        help="DRAM capacity as a fraction of allocated "
-                             "cells (default 0.25)")
-    parser.add_argument("--workload", choices=("read", "mixed"),
-                        default="mixed",
-                        help="query-only or OLXP mix (default mixed)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="table-size scale factor (default 0.1)")
-    parser.add_argument("--rounds", type=int, default=6,
-                        help="passes over the statement mix (default 6)")
-    parser.add_argument("--epoch", type=int, default=2,
-                        help="statements per migration epoch (default 2)")
-    parser.add_argument("--small", action="store_true",
-                        help="small geometry and caches")
-    parser.add_argument("--sweep", action="store_true",
-                        help="run the fraction x workload grid")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fast CI configuration + pass/fail gate")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the full result as JSON")
-    args = parser.parse_args(argv)
-
-    if args.smoke:
-        args.small = True
-        args.scale = min(args.scale, 0.05)
-        args.rounds = min(args.rounds, 5)
-        # At smoke scale each table is a single chunk, so the capacity
-        # budget must admit at least one whole hot table.
-        args.fraction = max(args.fraction, 0.5)
-
-    if args.sweep:
-        rows = sweep_tier(
-            workloads=("read", "mixed"), scale=args.scale, rounds=args.rounds,
-            small=args.small,
-        )
-        print(_render_sweep(rows))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-            print(f"[sweep written to {args.json}]")
-        return 0
-
-    result = run_tier(
-        args.fraction, args.workload, scale=args.scale, rounds=args.rounds,
-        small=args.small, epoch_statements=args.epoch,
-    )
-    migration = result["tiered"]["migration"]
-    print(f"workload {args.workload}  dram fraction {args.fraction}  "
-          f"capacity {result['config']['capacity_cells']} cells  "
-          f"statements {result['config']['statements']}")
-    print(f"aggregate hit rate {result['tiered']['aggregate_hit_rate']:.3f}  "
-          f"(DRAM share {result['tiered']['dram_access_share']:.3f})")
-    print(f"untiered RC-NVM baseline {result['baseline']['aggregate_hit_rate']:.3f}  "
-          f"(delta {result['hit_rate_delta']:+.3f})")
-    print(f"migrations: {migration['promotions']} promoted, "
-          f"{migration['demotions']} demoted, "
-          f"{migration['migrated_cells']} cells moved, "
-          f"{migration['dram_resident_cells']} resident")
-    print(f"cycles {result['tiered']['cycles']} tiered vs "
-          f"{result['baseline']['cycles']} baseline")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-        print(f"[result written to {args.json}]")
-    # Smoke gate: the hot tier must absorb traffic (strictly higher
-    # aggregate hit rate than no-DRAM RC-NVM), migrations must actually
-    # happen, and the engine must audit clean.
-    if args.smoke:
-        failures = []
-        if result["hit_rate_delta"] <= 0:
-            failures.append(
-                f"aggregate hit rate {result['hit_rate_delta']:+.4f} not "
-                "above the untiered baseline"
-            )
-        if migration["promotions"] < 1:
-            failures.append("no chunk was ever promoted")
-        if result["consistency_problems"]:
-            failures.append(
-                "; ".join(result["consistency_problems"])
-            )
-        if failures:
-            print(f"SMOKE FAIL: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        print("SMOKE OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    if result["tiered"]["migration"]["promotions"] < 1:
+        problems.append("no chunk was ever promoted")
+    problems.extend(result["consistency_problems"])
+    return problems

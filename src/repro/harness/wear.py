@@ -10,34 +10,24 @@ OLXP workload over the four knob combinations and reports the
 tradeoff: NVM ``write_pulses`` (with the :class:`WearTracker`'s
 distribution) against read p99 latency.
 
-CLI::
-
-    rcnvm-experiments wear --smoke
-    rcnvm-experiments wear --rounds 8 --json wear_ablation.json
+Run as ``rcnvm-experiments wear`` (:mod:`repro.harness.cli`).
 """
 
-import argparse
-import json
-import sys
-
+from repro.harness.experiment import run_workload
+from repro.harness.figures import FigureResult
+from repro.harness.serve import UPDATE_SQL
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.memsim.endurance import attach_wear_tracker
+from repro.memsim.stats import LatencyHistogram
 from repro.workloads.queries import QUERIES, SQL_BENCHMARK_IDS
 from repro.workloads.suite import build_benchmark_database
 
-#: Statement counters summed across the workload (controller stats reset
-#: with every statement's fresh timing, so the harness accumulates from
-#: each outcome's memory snapshot).
+#: Statement counters summed across the workload (see ``run_workload``).
 _SUM_KEYS = (
     "accesses", "reads", "writes", "buffer_hits",
     "dirty_flushes", "write_pulses", "writes_coalesced",
     "read_around_writes", "write_drain_episodes",
 )
-
-#: Range UPDATE over the benchmark table (same shape as the serving and
-#: tiering mixes); overlapping windows re-dirty the same chunk rows so
-#: queued writebacks share buffer entries — the coalescing material.
-_UPDATE_SQL = "UPDATE table-b SET f3 = x, f4 = y WHERE f10 > z AND f10 < w"
 
 #: The four ablation cells: both knobs off (PR 1 draining), each knob
 #: alone, and the full write path.
@@ -64,7 +54,7 @@ def build_workload(rounds=6, updates_per_round=3):
         for step in range(updates_per_round):
             low = 100 + ((round_index * updates_per_round + step) * 37) % 700
             statements.append((
-                _UPDATE_SQL,
+                UPDATE_SQL,
                 {"x": round_index + step + 1, "y": round_index + step + 2,
                  "z": low, "w": low + 120},
                 None,
@@ -72,43 +62,6 @@ def build_workload(rounds=6, updates_per_round=3):
             q = QUERIES[hot[step % len(hot)]]
             statements.append((q.sql, q.params, q.selectivity_hint))
     return statements
-
-
-def _merge_hist(accumulator, hist_dict):
-    for bound, count in hist_dict.items():
-        key = int(bound)
-        accumulator[key] = accumulator.get(key, 0) + count
-
-
-def _hist_percentile(hist_dict, pct):
-    """Percentile over a merged ``{bucket upper bound: count}`` dict
-    (same first-crossing rule as :class:`LatencyHistogram`)."""
-    total = sum(hist_dict.values())
-    if not total:
-        return 0
-    threshold = pct / 100.0 * total
-    seen = 0
-    for bound in sorted(hist_dict):
-        seen += hist_dict[bound]
-        if seen >= threshold:
-            return bound
-    return max(hist_dict)
-
-
-def _run_workload(db, statements):
-    """Execute every statement; returns (summed counters, merged read
-    histogram, total cycles)."""
-    totals = dict.fromkeys(_SUM_KEYS, 0)
-    read_hist = {}
-    cycles = 0
-    for sql, params, hint in statements:
-        outcome = db.execute(sql, params=params, selectivity_hint=hint)
-        memory = outcome.timing.memory
-        for key in _SUM_KEYS:
-            totals[key] += memory[key]
-        _merge_hist(read_hist, memory["read_latency_hist"])
-        cycles += outcome.timing.cycles
-    return totals, read_hist, cycles
 
 
 def run_wear_cell(write_coalescing=False, read_around_write=False,
@@ -130,14 +83,19 @@ def run_wear_cell(write_coalescing=False, read_around_write=False,
     db = build_benchmark_database(memory, scale=scale,
                                   cache_config=cache_config)
     statements = build_workload(rounds=rounds)
-    totals, read_hist, cycles = _run_workload(db, statements)
+    totals, cycles, memories = run_workload(db, statements, _SUM_KEYS)
+    read_hist = LatencyHistogram()
+    for memory in memories:
+        read_hist = read_hist.merged(
+            LatencyHistogram.from_dict(memory["read_latency_hist"])
+        )
     return {
         "write_coalescing": write_coalescing,
         "read_around_write": read_around_write,
         "statements": len(statements),
         "cycles": cycles,
-        "read_p50": _hist_percentile(read_hist, 50),
-        "read_p99": _hist_percentile(read_hist, 99),
+        "read_p50": read_hist.percentile(50),
+        "read_p99": read_hist.percentile(99),
         "totals": totals,
         "wear": tracker.snapshot(),
     }
@@ -172,85 +130,53 @@ def run_wear(scale=0.1, rounds=6, small=False, sched_kwargs=None):
     }
 
 
-def _render(result):
-    header = (
-        f"{'cell':>16}  {'pulses':>7}  {'coalesced':>9}  {'bypasses':>8}  "
-        f"{'flushes':>7}  {'max wear':>8}  {'read p99':>8}  {'cycles':>12}"
-    )
-    lines = [header, "-" * len(header)]
-    for label, _c, _b in ABLATION_GRID:
+def figure(result):
+    """One :func:`run_wear` ablation as a table, one row per knob cell."""
+    rows = []
+    for label, _coalescing, _bypass in ABLATION_GRID:
         cell = result["cells"][label]
         totals = cell["totals"]
-        lines.append(
-            f"{label:>16}  {totals['write_pulses']:>7}  "
-            f"{totals['writes_coalesced']:>9}  "
-            f"{totals['read_around_writes']:>8}  "
-            f"{totals['dirty_flushes']:>7}  {cell['wear']['max_wear']:>8}  "
-            f"{cell['read_p99']:>8}  {cell['cycles']:>12}"
-        )
-    return "\n".join(lines)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="rcnvm-experiments wear",
-        description="Write-asymmetry ablation: coalescing and "
-                    "read-around-write vs NVM write pulses and read p99.",
+        rows.append((
+            label, totals["write_pulses"], totals["writes_coalesced"],
+            totals["read_around_writes"], totals["dirty_flushes"],
+            cell["wear"]["max_wear"], cell["read_p99"], cell["cycles"],
+        ))
+    config = result["config"]
+    notes = f"write pulses saved {result['write_pulse_reduction']}"
+    if result["read_p99_ratio"] is not None:
+        notes += f", read p99 ratio {result['read_p99_ratio']:.3f}"
+    return FigureResult(
+        name="Wear",
+        title=(f"write-heavy workload, {config['statements']} statements, "
+               f"{config['rounds']} rounds, scale {config['scale']}"),
+        headers=("cell", "pulses", "coalesced", "bypasses", "flushes",
+                 "max wear", "read p99", "cycles"),
+        rows=rows,
+        notes=notes,
     )
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="table-size scale factor (default 0.1)")
-    parser.add_argument("--rounds", type=int, default=6,
-                        help="passes over the statement mix (default 6)")
-    parser.add_argument("--small", action="store_true",
-                        help="small geometry and caches")
-    parser.add_argument("--smoke", action="store_true",
-                        help="fast CI configuration + pass/fail gate")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the full result as JSON")
-    args = parser.parse_args(argv)
 
-    if args.smoke:
-        args.small = True
-        args.scale = min(args.scale, 0.05)
-        args.rounds = min(args.rounds, 5)
 
-    result = run_wear(scale=args.scale, rounds=args.rounds, small=args.small)
-    print(f"workload write-heavy  statements {result['config']['statements']}  "
-          f"rounds {result['config']['rounds']}  scale {result['config']['scale']}")
-    print(_render(result))
+def run_experiment(p):
+    """The ``wear`` experiment; returns ``(result, table)``."""
+    result = run_wear(scale=p.scale, rounds=p.rounds, small=p.small)
+    return result, figure(result).render()
+
+
+def check(result):
+    """The ``wear --smoke`` gate: the full write path must strictly reduce
+    NVM write pulses on the write-heavy workload, coalescing must actually
+    fire, and read p99 must stay within +5% of the knobs-off baseline."""
+    base = result["cells"]["baseline"]["totals"]
+    full = result["cells"]["coalesce+bypass"]["totals"]
     ratio = result["read_p99_ratio"]
-    print(f"write pulses saved {result['write_pulse_reduction']}  "
-          f"read p99 ratio {ratio:.3f}" if ratio is not None else
-          f"write pulses saved {result['write_pulse_reduction']}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-        print(f"[result written to {args.json}]")
-    # Smoke gate: the full write path must strictly reduce NVM write
-    # pulses on the write-heavy workload, coalescing must actually fire,
-    # and read p99 must stay within +5% of the knobs-off baseline.
-    if args.smoke:
-        failures = []
-        base = result["cells"]["baseline"]
-        full = result["cells"]["coalesce+bypass"]
-        if full["totals"]["write_pulses"] >= base["totals"]["write_pulses"]:
-            failures.append(
-                f"write pulses not reduced: {full['totals']['write_pulses']} "
-                f"with coalescing+bypass vs {base['totals']['write_pulses']} "
-                "baseline"
-            )
-        if full["totals"]["writes_coalesced"] < 1:
-            failures.append("no write was ever coalesced")
-        if ratio is not None and ratio > 1.05:
-            failures.append(
-                f"read p99 regressed {ratio:.3f}x (> 1.05x baseline)"
-            )
-        if failures:
-            print(f"SMOKE FAIL: {'; '.join(failures)}", file=sys.stderr)
-            return 1
-        print("SMOKE OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    problems = []
+    if full["write_pulses"] >= base["write_pulses"]:
+        problems.append(
+            f"write pulses not reduced: {full['write_pulses']} with "
+            f"coalescing+bypass vs {base['write_pulses']} baseline"
+        )
+    if full["writes_coalesced"] < 1:
+        problems.append("no write was ever coalesced")
+    if ratio is not None and ratio > 1.05:
+        problems.append(f"read p99 regressed {ratio:.3f}x (> 1.05x baseline)")
+    return problems

@@ -65,6 +65,15 @@ class LatencyHistogram:
         """``{bucket upper bound: count}`` with ascending bounds."""
         return {(1 << b) - 1: n for b, n in sorted(self.buckets.items())}
 
+    @classmethod
+    def from_dict(cls, bounds):
+        """The histogram :meth:`to_dict` exported (keys may be strings)."""
+        hist = cls()
+        for bound, n in bounds.items():
+            hist.buckets[(int(bound) + 1).bit_length() - 1] = n
+            hist.count += n
+        return hist
+
     def __eq__(self, other):
         return (
             isinstance(other, LatencyHistogram)
@@ -74,12 +83,6 @@ class LatencyHistogram:
 
     def __repr__(self):
         return f"LatencyHistogram({self.count} samples, {len(self.buckets)} buckets)"
-
-
-#: Fields combined with max() (not +) when two stat blocks are merged.
-_MAX_FIELDS = frozenset(
-    ("max_queue_occupancy", "max_bank_queue_occupancy", "max_bypass")
-)
 
 
 @dataclass
@@ -398,16 +401,8 @@ class MemoryStats:
         return data
 
 
-@dataclass
-class BankStats:
-    """Optional per-bank counters (enabled for detailed experiments)."""
-
-    accesses: int = 0
-    activations: int = 0
-    busy_cycles: int = 0
-
-    INSTRUMENTS = {
-        "accesses": "counter",
-        "activations": "counter",
-        "busy_cycles": "counter",
-    }
+#: Fields combined with max() (not +) when two stat blocks are merged:
+#: the high-water marks, which ``INSTRUMENTS`` declares as gauges.
+_MAX_FIELDS = frozenset(
+    name for name, kind in MemoryStats.INSTRUMENTS.items() if kind == "gauge"
+)

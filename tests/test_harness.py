@@ -165,6 +165,30 @@ class TestCli:
         assert cli.main(["fig19", "--small", "--scale", "0.02"]) == 0
         assert len(calls) == 1
 
+    def test_sql_figures_rerun_when_arguments_change(self, capsys, monkeypatch):
+        """Regression: the shared SQL measurements were reused whatever the
+        arguments, so a second ``--scale`` printed the first one's figure."""
+        from repro.harness import cli
+
+        monkeypatch.setattr(cli, "_SQL_MEASUREMENTS", [None])
+        calls = []
+        original = figures.run_figures_18_21
+
+        def counting(**kwargs):
+            calls.append((kwargs["scale"], kwargs["sched_kwargs"]))
+            kwargs["qids"] = ("Q1",)  # keep the test cheap
+            return original(**kwargs)
+
+        monkeypatch.setattr(figures, "run_figures_18_21", counting)
+        tables = []
+        for extra in (["--scale", "0.02"], ["--scale", "0.04"],
+                      ["--scale", "0.04", "--page-policy", "closed"]):
+            assert cli.main(["fig19", "--small"] + extra) == 0
+            tables.append(capsys.readouterr().out.split("[fig19")[0])
+        assert calls == [(0.02, {}), (0.04, {}),
+                         (0.04, {"page_policy": "closed"})]
+        assert tables[0] != tables[1]
+
     def test_faults_cli_renders_table(self, capsys, monkeypatch):
         from repro.harness import cli, reliability
 
@@ -205,26 +229,34 @@ class TestWearHarness:
         assert any(b - a < 120 for a, b in zip(lows, lows[1:]))
 
     def test_hist_percentile_first_crossing(self):
-        from repro.harness.wear import _hist_percentile
+        """The wear cells' read percentiles come from the statements'
+        exported histograms, rebuilt and merged."""
+        from repro.memsim.stats import LatencyHistogram
 
-        hist = {7: 50, 63: 49, 1023: 1}
-        assert _hist_percentile(hist, 50) == 7
-        assert _hist_percentile(hist, 99) == 63
-        assert _hist_percentile(hist, 100) == 1023
-        assert _hist_percentile({}, 99) == 0
+        hist = LatencyHistogram.from_dict({7: 50, "63": 49, 1023: 1})
+        assert hist.count == 100
+        assert hist.to_dict() == {7: 50, 63: 49, 1023: 1}
+        assert hist.percentile(50) == 7
+        assert hist.percentile(99) == 63
+        assert hist.percentile(100) == 1023
+        assert LatencyHistogram.from_dict({}).percentile(99) == 0
 
-    def test_cli_dispatches_wear(self, monkeypatch):
+    def test_cli_dispatches_wear(self, monkeypatch, capsys):
+        """``wear --smoke`` runs the ablation with the smoke parameters
+        and gates its result."""
         from repro.harness import cli, wear
 
         seen = {}
+        original = wear.run_wear
 
-        def fake_main(argv):
-            seen["argv"] = argv
-            return 0
+        def spying(**kwargs):
+            seen.update(kwargs)
+            return original(**kwargs)
 
-        monkeypatch.setattr(wear, "main", fake_main)
+        monkeypatch.setattr(wear, "run_wear", spying)
         assert cli.main(["wear", "--smoke"]) == 0
-        assert seen["argv"] == ["--smoke"]
+        assert seen == {"scale": 0.05, "rounds": 5, "small": True}
+        assert "SMOKE OK: wear" in capsys.readouterr().out
 
     def test_sched_flags_reach_sched_kwargs(self, monkeypatch):
         from repro.harness import cli

@@ -7,7 +7,9 @@ from repro.cache.synonym import SynonymDirectory
 from repro.core import isa
 from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.machine import Machine
+from repro.cpu.multicore import MulticoreMachine
 from repro.cpu.trace import Access, Op
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import CapabilityError
 from repro.memsim.system import make_small_dram, make_small_rcnvm
 
@@ -181,3 +183,39 @@ class TestAccounting:
         result = machine.run([isa.load(row_addr(memory, 0), size=64)])
         assert set(result.caches) == {"L1", "L2", "L3"}
         assert result.synonym  # RC-NVM machine carries synonym stats
+
+
+# -- trace-buffer capability checks ---------------------------------------------
+def _column_on_dram():
+    return make_small_dram(), isa.cload(0, size=64), "column"
+
+
+def _gather_on_rcnvm():
+    coord = Coordinate(0, 0, 0, 0, 0, 0)
+    return make_small_rcnvm(), isa.gather_load(1 << 41, coord), "gathered"
+
+
+def _machine_run(memory, trace):
+    return Machine(memory, make_hierarchy(**SMALL)).run(trace)
+
+
+def _multicore_run(memory, trace):
+    return MulticoreMachine(memory, n_cores=1, l1_kib=4, llc_kib=64).run([trace])
+
+
+def _run_segmented(memory, trace):
+    machine = MulticoreMachine(memory, n_cores=1, l1_kib=4, llc_kib=64)
+    return machine.run_segmented([[(trace, 1, "t")]])
+
+
+@pytest.mark.parametrize("case", [_column_on_dram, _gather_on_rcnvm])
+@pytest.mark.parametrize("replay", [_machine_run, _multicore_run, _run_segmented])
+def test_unsupported_buffer_raises_through_every_entry_point(case, replay):
+    """A buffer the memory cannot serve is refused up front, the same way
+    by every replay entry point (the batched paths never reach the
+    precise path's per-line check)."""
+    memory, access, kind = case()
+    trace = TraceBuffer()
+    trace.append(access)
+    with pytest.raises(CapabilityError, match=f"does not support {kind}"):
+        replay(memory, trace)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.addressing import Coordinate, Orientation
 from repro.errors import CapabilityError
 from repro.geometry import DRAM_GEOMETRY, RCNVM_GEOMETRY, SMALL_RCNVM_GEOMETRY
+from repro.memsim.stats import LatencyHistogram, MemoryStats
 from repro.memsim.system import (
     make_dram,
     make_gsdram,
@@ -101,6 +102,31 @@ class TestStats:
         memory.access(Coordinate(0, 0, 0, 0, 0, 0), Orientation.ROW, False, 0)
         memory.reset()
         assert memory.stats.accesses == 0
+
+    def test_merge_maxes_gauges_and_sums_counters_and_histograms(self):
+        a, b = MemoryStats(), MemoryStats()
+        for index, (name, kind) in enumerate(MemoryStats.INSTRUMENTS.items()):
+            if kind == "histogram":
+                getattr(a, name).record(10)
+                getattr(b, name).record(10)
+                getattr(b, name).record(5000)
+            else:
+                # Both orders of a < b occur, so neither operand wins by
+                # position.
+                setattr(a, name, 3 + index % 2 * 10)
+                setattr(b, name, 7)
+        for merged in (a.merge(b), b.merge(a)):
+            for name, kind in MemoryStats.INSTRUMENTS.items():
+                mine, theirs = getattr(a, name), getattr(b, name)
+                if kind == "gauge":
+                    assert getattr(merged, name) == max(mine, theirs), name
+                elif kind == "counter":
+                    assert getattr(merged, name) == mine + theirs, name
+                else:
+                    expected = LatencyHistogram()
+                    for latency in (10, 10, 5000):
+                        expected.record(latency)
+                    assert getattr(merged, name) == expected, name
 
     def test_drain_returns_last_completion(self):
         memory = make_small_rcnvm()

@@ -21,7 +21,7 @@ import pytest
 
 from conftest import make_database, simple_rows
 from repro.cache.stats import CacheStats, SynonymStats
-from repro.memsim.stats import BankStats, LatencyHistogram, MemoryStats
+from repro.memsim.stats import LatencyHistogram, MemoryStats
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
 from repro.obs.metrics import MetricsRegistry, bind_stats, registry_for_database
@@ -193,8 +193,7 @@ class TestMetricsRegistry:
 
 # -- stats migration -----------------------------------------------------------
 class TestInstrumentDeclarations:
-    @pytest.mark.parametrize("cls", [MemoryStats, BankStats, CacheStats,
-                                     SynonymStats])
+    @pytest.mark.parametrize("cls", [MemoryStats, CacheStats, SynonymStats])
     def test_instruments_mirror_dataclass_fields(self, cls):
         """The registry migration must cover every field and invent none,
         so the public snapshot() keys cannot drift."""
@@ -369,7 +368,7 @@ class TestProfiling:
     def test_profile_is_self_consistent(self, profile):
         from repro.harness.profiling import check_profile
 
-        assert check_profile(profile) == []
+        assert check_profile(profile.to_dict()) == []
         assert profile.spans["metrics"]["cycles"] == profile.outcome.timing.cycles
 
     def test_render_contains_tree_and_metrics(self, profile):
@@ -392,7 +391,7 @@ class TestProfiling:
         assert main(["profile", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "machine.run" in out
-        assert "accounting consistent" in out
+        assert "SMOKE OK: profile" in out
 
     def test_cli_smoke_template_cache_fails_on_planted_misses(
         self, monkeypatch, capsys

@@ -209,9 +209,9 @@ class TestServeHarness:
         )
 
     def test_smoke_passes_and_fails_on_planted_shedding(self, monkeypatch, capsys):
-        from repro.harness import serve
+        from repro.harness import cli, serve
 
-        assert serve.main(["--smoke"]) == 0
+        assert cli.main(["serve", "--smoke"]) == 0
         assert "SMOKE OK" in capsys.readouterr().out
 
         def shedding(*args, **kwargs):
@@ -220,7 +220,7 @@ class TestServeHarness:
             return result
 
         monkeypatch.setattr(serve, "run_serving", shedding)
-        assert serve.main(["--smoke"]) == 1
+        assert cli.main(["serve", "--smoke"]) == 1
         assert "shed 3 statements" in capsys.readouterr().err
 
 
