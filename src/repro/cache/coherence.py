@@ -10,8 +10,8 @@ This module implements that structure over private per-core caches and a
 shared inclusive LLC:
 
 * each private line carries a MESI state;
-* the directory (at the LLC) tracks, per line, the set of sharers and the
-  exclusive owner;
+* the directory (at the LLC) tracks, per line, the bitmask of sharers;
+  the exclusive owner is the sole sharer when it holds the line in M or E;
 * reads without other sharers install E, with sharers install S
   (downgrading an M/E owner); writes invalidate all other sharers and
   install M;
@@ -25,7 +25,7 @@ Message costs are fixed per hop and charged to the requesting core.
 import enum
 from dataclasses import dataclass
 
-from repro.cache.cache import Cache
+from repro.cache.cache import EMPTY_SET, Cache
 from repro.cache.line import key_orientation
 from repro.core.addressing import Orientation
 from repro.errors import ProtocolError
@@ -36,6 +36,14 @@ class Mesi(enum.Enum):
     EXCLUSIVE = "E"
     SHARED = "S"
     # Invalid is represented by absence from the cache.
+
+
+# Enum attribute lookups are slow on the per-line path; compare by identity
+# against these.
+_MODIFIED, _EXCLUSIVE, _SHARED = Mesi.MODIFIED, Mesi.EXCLUSIVE, Mesi.SHARED
+
+#: What every private read hit returns: nothing extra, nothing written back.
+_PRIVATE_HIT = (True, True, 0, ())
 
 
 @dataclass
@@ -54,26 +62,31 @@ class CoherenceStats:
         return dict(vars(self))
 
 
-class DirectoryEntry:
-    """Sharers/owner bookkeeping for one LLC-resident line."""
-
-    __slots__ = ("sharers", "owner")
-
-    def __init__(self):
-        self.sharers = set()
-        self.owner = None  # core id holding M or E
-
-    def __repr__(self):
-        return f"DirectoryEntry(sharers={sorted(self.sharers)}, owner={self.owner})"
+def _cores(sharers):
+    """The core ids set in a sharer bitmask, in ascending order."""
+    core = 0
+    while sharers:
+        if sharers & 1:
+            yield core
+        sharers >>= 1
+        core += 1
 
 
 class MesiDirectory:
     """A shared LLC plus directory over N private caches.
 
-    The private caches are plain :class:`~repro.cache.cache.Cache`
-    instances whose lines' MESI state is kept in per-core side tables
-    (``self._states[core][key]``), so the cache machinery stays protocol
-    agnostic.
+    Each line's coherence state is recorded once.  The private caches are
+    plain :class:`~repro.cache.cache.Cache` instances (geometry, LRU order
+    and hit/miss/fill/eviction stats) whose sets map a resident key to its
+    :class:`Mesi` state instead of a line object, so only this class fills
+    them.  ``self.directory`` maps a key to the bitmask of the cores
+    holding it.  Three invariants make that enough:
+
+    * only LLC lines are ever pinned, so a private victim is simply the
+      LRU entry of its set;
+    * only a sole holder can be in M or E, so the owner is implied by the
+      sharer mask and the holder's state;
+    * E and S lines are clean, so M is a private line's dirty bit.
     """
 
     #: Fixed message costs in CPU cycles.
@@ -87,7 +100,6 @@ class MesiDirectory:
         self.synonym = synonym
         self.directory = {}
         self.stats = CoherenceStats()
-        self._states = [dict() for _ in self.private_caches]
         self._orientation_counts = [0, 0, 0]
 
     @property
@@ -98,9 +110,7 @@ class MesiDirectory:
     def state_of(self, core, key):
         """The MESI state of ``key`` in ``core``'s private cache (None =
         Invalid)."""
-        if self.private_caches[core].probe(key) is None:
-            return None
-        return self._states[core].get(key)
+        return self.private_caches[core].probe(key)
 
     def check_invariants(self, key):
         """Protocol invariants for one line; raises ProtocolError."""
@@ -112,9 +122,8 @@ class MesiDirectory:
             raise ProtocolError(f"multiple owners for {key:#x}: {states}")
         if (modified or exclusive) and shared:
             raise ProtocolError(f"owner coexists with sharers for {key:#x}")
-        entry = self.directory.get(key)
         holders = {c for c, s in enumerate(states) if s is not None}
-        recorded = set(entry.sharers) if entry else set()
+        recorded = set(_cores(self.directory.get(key, 0)))
         if holders != recorded:
             raise ProtocolError(
                 f"directory out of sync for {key:#x}: holds {recorded}, "
@@ -128,128 +137,116 @@ class MesiDirectory:
         Returns ``(hit_private, llc_hit, extra_cycles, writebacks)`` where
         ``writebacks`` are dirty line keys that must be written to memory.
         """
-        extra = 0
-        writebacks = []
         cache = self.private_caches[core]
-        if cache.lookup(key) is not None:
-            return True, True, extra, writebacks
+        cache_set = cache.sets[key & cache._set_mask]
+        if key in cache_set:
+            cache_set.move_to_end(key)
+            cache.stats.hits += 1
+            return _PRIVATE_HIT
+        cache.stats.misses += 1
         self.stats.read_misses += 1
-        extra += self.DIRECTORY_LOOKUP_COST
-        llc_line = self.llc.lookup(key)
-        llc_hit = llc_line is not None
+        extra = self.DIRECTORY_LOOKUP_COST
+        writebacks = ()
+        llc_hit = self.llc.lookup(key) is not None
         if not llc_hit:
-            extra += self._install_llc(key, writebacks)
-        entry = self.directory.setdefault(key, DirectoryEntry())
-        if entry.owner is not None and entry.owner != core:
-            extra += self._downgrade(entry.owner, key)
-            entry.owner = None
-        state = Mesi.EXCLUSIVE if not entry.sharers else Mesi.SHARED
-        if state is Mesi.SHARED:
-            # Everyone (including an ex-owner) is now a sharer.
-            for sharer in entry.sharers:
-                if self._states[sharer].get(key) in (Mesi.MODIFIED, Mesi.EXCLUSIVE):
-                    self._states[sharer][key] = Mesi.SHARED
-        self._install_private(core, key, state, writebacks)
-        entry.sharers.add(core)
-        if state is Mesi.EXCLUSIVE:
-            entry.owner = core
+            cycles, writebacks = self._install_llc(key)
+            extra += cycles
+        sharers = self.directory.get(key, 0)
+        if sharers:
+            extra += self._downgrade_owner(key, sharers)
+        self._install_private(core, cache_set, key, _SHARED if sharers else _EXCLUSIVE)
+        self.directory[key] = sharers | 1 << core
         return False, llc_hit, extra, writebacks
 
     def write(self, core, key, word_mask=0xFF):
         """Core ``core`` writes ``key``; returns the same tuple as read."""
-        extra = 0
-        writebacks = []
         cache = self.private_caches[core]
-        line = cache.lookup(key)
-        entry = self.directory.setdefault(key, DirectoryEntry())
-        if line is not None:
-            state = self._states[core].get(key)
-            if state is Mesi.MODIFIED:
-                pass
-            elif state is Mesi.EXCLUSIVE:
-                self._states[core][key] = Mesi.MODIFIED
-            else:  # SHARED: upgrade, invalidating other sharers
+        cache_set = cache.sets[key & cache._set_mask]
+        state = cache_set.get(key)
+        if state is not None:
+            cache_set.move_to_end(key)
+            cache.stats.hits += 1
+            extra = 0
+            if state is _SHARED:  # upgrade, invalidating other sharers
                 self.stats.upgrades += 1
-                extra += self.DIRECTORY_LOOKUP_COST
-                extra += self._invalidate_others(core, key, entry)
-                self._states[core][key] = Mesi.MODIFIED
-            line.dirty = True
-            entry.owner = core
+                extra = self.DIRECTORY_LOOKUP_COST + self._invalidate_others(
+                    core, key, self.directory[key]
+                )
+                self.directory[key] = 1 << core
+            cache_set[key] = _MODIFIED
             extra += self._synonym_write(key, word_mask)
-            return True, True, extra, writebacks
+            return True, True, extra, ()
+        cache.stats.misses += 1
         self.stats.write_misses += 1
-        extra += self.DIRECTORY_LOOKUP_COST
-        llc_line = self.llc.lookup(key)
-        llc_hit = llc_line is not None
+        extra = self.DIRECTORY_LOOKUP_COST
+        writebacks = ()
+        llc_hit = self.llc.lookup(key) is not None
         if not llc_hit:
-            extra += self._install_llc(key, writebacks)
-        if entry.owner is not None and entry.owner != core:
-            extra += self._downgrade(entry.owner, key)
-            entry.owner = None
-        extra += self._invalidate_others(core, key, entry)
-        self._install_private(core, key, Mesi.MODIFIED, writebacks, dirty=True)
-        entry.sharers.add(core)
-        entry.owner = core
+            cycles, writebacks = self._install_llc(key)
+            extra += cycles
+        sharers = self.directory.get(key, 0)
+        if sharers:
+            extra += self._downgrade_owner(key, sharers)
+            extra += self._invalidate_others(core, key, sharers)
+        self._install_private(core, cache_set, key, _MODIFIED)
+        self.directory[key] = 1 << core
         extra += self._synonym_write(key, word_mask)
         return False, llc_hit, extra, writebacks
 
     # -- internals -------------------------------------------------------------
-    def _install_private(self, core, key, state, writebacks, dirty=False):
+    def _install_private(self, core, cache_set, key, state):
+        """Fill ``key`` into ``core``'s private set ``cache_set`` (the one
+        the miss probed), evicting the set's LRU line if it is full."""
         cache = self.private_caches[core]
-        line, victim = cache.install(key, dirty=dirty)
-        self._states[core][key] = state
-        if victim is not None:
-            self._evict_private(core, victim, writebacks)
-
-    def _evict_private(self, core, victim, writebacks):
-        """A private victim: merge dirtiness into the LLC, fix directory."""
-        self._states[core].pop(victim.key, None)
-        entry = self.directory.get(victim.key)
-        if entry is not None:
-            entry.sharers.discard(core)
-            if entry.owner == core:
-                entry.owner = None
-            if not entry.sharers:
-                self.directory.pop(victim.key, None)
-        if victim.dirty:
-            llc_line = self.llc.probe(victim.key)
-            if llc_line is not None:
-                llc_line.dirty = True
+        if cache_set is EMPTY_SET:
+            cache_set = cache.writable_set(key & cache._set_mask)
+        elif len(cache_set) >= cache.ways:
+            victim, victim_state = cache_set.popitem(last=False)
+            cache.stats.evictions += 1
+            sharers = self.directory[victim] & ~(1 << core)
+            if sharers:
+                self.directory[victim] = sharers
             else:
-                writebacks.append(victim.key)
+                del self.directory[victim]
+            if victim_state is _MODIFIED:
+                # Inclusion: the LLC holds every privately cached line.
+                self.llc.probe(victim).dirty = True
+        cache_set[key] = state
+        cache.stats.fills += 1
 
-    def _install_llc(self, key, writebacks):
+    def _install_llc(self, key):
+        """Fill ``key`` into the LLC; returns ``(extra, writebacks)``."""
         extra = 0
+        writebacks = ()
         _line, victim = self.llc.install(key, dirty=False)
         orientation = key_orientation(key)
         if orientation is not Orientation.GATHER:
             self._orientation_counts[orientation] += 1
         if victim is not None:
-            extra += self._evict_llc(victim, writebacks)
-        extra += self._synonym_fill(key)
-        return extra
+            extra, writebacks = self._evict_llc(victim)
+        return extra + self._synonym_fill(key), writebacks
 
-    def _evict_llc(self, victim, writebacks):
-        """Inclusive LLC eviction: recall from every private cache."""
+    def _evict_llc(self, victim):
+        """Inclusive LLC eviction: recall from every private cache.
+
+        Returns ``(extra, writebacks)``."""
         extra = 0
+        key = victim.key
         dirty = victim.dirty
-        entry = self.directory.pop(victim.key, None)
-        if entry is not None:
-            for core in list(entry.sharers):
-                self.stats.llc_recalls += 1
-                line = self.private_caches[core].invalidate(victim.key)
-                self._states[core].pop(victim.key, None)
-                if line is not None and line.dirty:
-                    dirty = True
-                    self.stats.writebacks_recalled += 1
-                extra += self.INVALIDATION_COST
-        orientation = key_orientation(victim.key)
+        for core in _cores(self.directory.pop(key, 0)):
+            self.stats.llc_recalls += 1
+            cache = self.private_caches[core]
+            if cache.sets[key & cache._set_mask].pop(key) is _MODIFIED:
+                dirty = True
+                self.stats.writebacks_recalled += 1
+            extra += self.INVALIDATION_COST
+        orientation = key_orientation(key)
         if orientation is not Orientation.GATHER:
             self._orientation_counts[orientation] -= 1
             if self.synonym is not None and victim.crossing:
                 clears = 0
                 for cross_key, word_self, word_other in self.synonym.crossing_keys(
-                    victim.key
+                    key
                 ):
                     if not victim.has_crossing(word_self):
                         continue
@@ -258,42 +255,40 @@ class MesiDirectory:
                         other.clear_crossing(word_other)
                         clears += 1
                 extra += self.synonym.charge_eviction_clears(clears)
-        if dirty:
-            writebacks.append(victim.key)
-        return extra
+        return extra, ((key,) if dirty else ())
 
-    def _invalidate_others(self, core, key, entry):
+    def _invalidate_others(self, core, key, sharers):
+        """Invalidate ``key`` in every sharer but ``core``."""
         extra = 0
-        for sharer in list(entry.sharers):
-            if sharer == core:
-                continue
+        for sharer in _cores(sharers & ~(1 << core)):
             self.stats.invalidations_sent += 1
             extra += self.INVALIDATION_COST
-            line = self.private_caches[sharer].invalidate(key)
-            self._states[sharer].pop(key, None)
-            if line is not None and line.dirty:
-                llc_line = self.llc.probe(key)
-                if llc_line is not None:
-                    llc_line.dirty = True
-                self.stats.writebacks_recalled += 1
-            entry.sharers.discard(sharer)
+            cache = self.private_caches[sharer]
+            if cache.sets[key & cache._set_mask].pop(key) is _MODIFIED:
+                self._recall_dirty(key)
         return extra
 
-    def _downgrade(self, owner, key):
-        """A remote read hits an M/E owner: demote it to S, pulling dirty
-        data into the LLC."""
+    def _downgrade_owner(self, key, sharers):
+        """Another core misses on ``key``, held by ``sharers``: a sole M/E
+        holder is the owner and is demoted to S, pulling dirty data into
+        the LLC."""
+        if sharers & (sharers - 1):
+            return 0  # two or more holders: all in S
+        owner = self.private_caches[sharers.bit_length() - 1]
+        owner_set = owner.sets[key & owner._set_mask]
+        state = owner_set[key]
+        if state is _SHARED:
+            return 0
         self.stats.downgrades += 1
-        state = self._states[owner].get(key)
-        line = self.private_caches[owner].probe(key)
-        if line is not None and line.dirty:
-            llc_line = self.llc.probe(key)
-            if llc_line is not None:
-                llc_line.dirty = True
-            line.dirty = False
-            self.stats.writebacks_recalled += 1
-        if line is not None:
-            self._states[owner][key] = Mesi.SHARED
+        if state is _MODIFIED:
+            self._recall_dirty(key)
+        owner_set[key] = _SHARED
         return self.DOWNGRADE_COST
+
+    def _recall_dirty(self, key):
+        """Dirty data leaves a private cache for the (inclusive) LLC."""
+        self.llc.probe(key).dirty = True
+        self.stats.writebacks_recalled += 1
 
     # -- synonym composition (Section 4.3.3: synonym first, then MESI) --------
     def _synonym_fill(self, key):

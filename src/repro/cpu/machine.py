@@ -177,7 +177,7 @@ class Machine:
                 key = line_key_from_index(line_index, orientation)
                 result.lines_touched += 1
                 word_mask = (
-                    self._word_mask(access, line_index) if access.is_write else 0xFF
+                    line_word_mask(access, line_index) if access.is_write else 0xFF
                 )
                 level, extra = hierarchy.lookup(key, access.is_write, word_mask)
                 if extra:
@@ -196,7 +196,9 @@ class Machine:
                     continue
                 # -- LLC miss: fetch the line from main memory.
                 result.llc_misses += 1
-                req = self._line_request(key, access, now + self._llc_latency, stream)
+                req = line_request(
+                    memory, key, access, now + self._llc_latency, stream
+                )
                 outstanding.append(req)
                 if len(outstanding) > self.window:
                     now = max(now, memory.completion_of(outstanding.popleft()))
@@ -206,7 +208,7 @@ class Machine:
                     result.synonym_cycles += extra
                 for victim_key in hierarchy.drain_writebacks():
                     result.writebacks += 1
-                    self._writeback(victim_key, now, stream)
+                    post_writeback(memory, victim_key, now, stream)
 
         while outstanding:
             now = max(now, memory.completion_of(outstanding.popleft()))
@@ -333,7 +335,7 @@ class Machine:
                 if hierarchy.pending_writebacks:
                     for victim_key in hierarchy.drain_writebacks():
                         writebacks += 1
-                        self._writeback(victim_key, now, stream)
+                        post_writeback(memory, victim_key, now, stream)
                 continue
             # -- special lines: unpins, barriers, writes, pins, gathers.
             if special & LINE_UNPIN:
@@ -391,7 +393,7 @@ class Machine:
             if hierarchy.pending_writebacks:
                 for victim_key in hierarchy.drain_writebacks():
                     writebacks += 1
-                    self._writeback(victim_key, now, stream)
+                    post_writeback(memory, victim_key, now, stream)
 
         while outstanding:
             done = completion_of(outstanding_popleft())
@@ -422,20 +424,6 @@ class Machine:
         return result
 
     # -- helpers ----------------------------------------------------------------
-    def _line_request(self, key, access, arrival, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            if access.coord is None:
-                raise CapabilityError("gather access requires a device coordinate")
-            return self.memory.request_for_coord(
-                access.coord, Orientation.GATHER, access.is_write, arrival,
-                stream=stream,
-            )
-        return self.memory.request_for_line(
-            key_address(key), orientation, access.is_write, arrival,
-            stream=stream,
-        )
-
     def flush_caches(self, now=0, on_line=None):
         """Write every dirty cached line back to memory and drain it.
 
@@ -449,25 +437,13 @@ class Machine:
         dirty = self.hierarchy.flush()
         flushed = 0
         for key in dirty:
-            if self._writeback(key, now) is not None:
+            if post_writeback(self.memory, key, now) is not None:
                 flushed += 1
                 if on_line is not None:
                     on_line(flushed)
         self.memory.drain()
         self.memory.flush_buffers()
         return flushed
-
-    def _writeback(self, key, now, stream=0):
-        """Post a dirty-victim write to memory (the core does not block).
-
-        Returns the posted request, or ``None`` for gather lines (which
-        are read-only snapshots of row data and never written back)."""
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            return None
-        return self.memory.request_for_line(
-            key_address(key), orientation, True, now, stream=stream
-        )
 
     def _unpin_range(self, access):
         first_line = access.address // CACHE_LINE_BYTES
@@ -476,16 +452,44 @@ class Machine:
         for line_index in range(first_line, last_line + 1):
             self.hierarchy.unpin(line_key_from_index(line_index, orientation))
 
-    @staticmethod
-    def _word_mask(access, line_index):
-        """Bitmask of the 8-byte words of line ``line_index`` covered by
-        ``access`` (used for crossing-bit write updates)."""
-        line_start = line_index * CACHE_LINE_BYTES
-        start = max(access.address, line_start)
-        end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
-        first_word = (start - line_start) // WORD_BYTES
-        last_word = (end - 1 - line_start) // WORD_BYTES
-        mask = 0
-        for word in range(first_word, last_word + 1):
-            mask |= 1 << word
-        return mask
+
+# -- request helpers, shared with the multicore machine ---------------------------
+def line_request(memory, key, access, arrival, stream=0):
+    """Submit the memory request that fetches line ``key`` for ``access``."""
+    orientation = key_orientation(key)
+    if orientation is Orientation.GATHER:
+        if access.coord is None:
+            raise CapabilityError("gather access requires a device coordinate")
+        return memory.request_for_coord(
+            access.coord, orientation, access.is_write, arrival, stream=stream
+        )
+    return memory.request_for_line(
+        key_address(key), orientation, access.is_write, arrival, stream=stream
+    )
+
+
+def post_writeback(memory, key, now, stream=0):
+    """Post a dirty-victim write to memory (the core does not block).
+
+    Returns the posted request, or ``None`` for gather lines (which are
+    read-only snapshots of row data and never written back)."""
+    orientation = key_orientation(key)
+    if orientation is Orientation.GATHER:
+        return None
+    return memory.request_for_line(
+        key_address(key), orientation, True, now, stream=stream
+    )
+
+
+def line_word_mask(access, line_index):
+    """Bitmask of the 8-byte words of line ``line_index`` covered by
+    ``access`` (used for crossing-bit write updates)."""
+    line_start = line_index * CACHE_LINE_BYTES
+    start = max(access.address, line_start)
+    end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
+    first_word = (start - line_start) // WORD_BYTES
+    last_word = (end - 1 - line_start) // WORD_BYTES
+    mask = 0
+    for word in range(first_word, last_word + 1):
+        mask |= 1 << word
+    return mask

@@ -15,13 +15,14 @@ from typing import List
 
 from repro.cache.cache import Cache
 from repro.cache.coherence import MesiDirectory
-from repro.cache.line import key_address, key_orientation, line_key_from_index
+from repro.cache.line import line_key_from_index
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
+from repro.cpu.machine import line_request, line_word_mask, post_writeback
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, TraceBuffer
-from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
+from repro.geometry import CACHE_LINE_BYTES
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 
@@ -155,33 +156,29 @@ class MulticoreMachine:
         active = [(0, core) for core in range(len(traces))]
         heapq.heapify(active)
         while active:
-            _clock, core = heapq.heappop(active)
+            core = active[0][1]
             cursor = cursors[core]
-            if cursor is not None:
-                position = cursor.pos
-                if position >= cursor.n:
-                    while outstanding[core]:
-                        clocks[core] = max(
-                            clocks[core],
-                            self.memory.completion_of(outstanding[core].popleft()),
-                        )
-                    results[core].cycles = clocks[core]
-                    continue
-                cursor.pos = position + 1
-                self._step_soa(core, cursor, position, clocks, outstanding, results)
-                heapq.heappush(active, (clocks[core], core))
-                continue
-            access = next(iterators[core], None)
-            if access is None:
-                while outstanding[core]:
-                    clocks[core] = max(
-                        clocks[core],
-                        self.memory.completion_of(outstanding[core].popleft()),
+            if cursor is None:
+                access = next(iterators[core], None)
+                stepped = access is not None
+                if stepped:
+                    self._step(
+                        core, access, clocks, outstanding, results, streams[core]
                     )
-                results[core].cycles = clocks[core]
+            else:
+                position = cursor.pos
+                stepped = position < cursor.n
+                if stepped:
+                    cursor.pos = position + 1
+                    self._step_soa(
+                        core, cursor, position, clocks, outstanding, results
+                    )
+            if stepped:
+                heapq.heapreplace(active, (clocks[core], core))
                 continue
-            self._step(core, access, clocks, outstanding, results, streams[core])
-            heapq.heappush(active, (clocks[core], core))
+            self._drain(core, clocks, outstanding[core])
+            results[core].cycles = clocks[core]
+            heapq.heappop(active)
         result = MulticoreResult(cores=results)
         self.memory.drain()
         result.coherence = self.directory.stats.snapshot()
@@ -233,11 +230,7 @@ class MulticoreMachine:
         result = MulticoreResult(cores=results)
 
         def finish_segment(core):
-            queue = outstanding[core]
-            while queue:
-                clocks[core] = max(
-                    clocks[core], memory.completion_of(queue.popleft())
-                )
+            self._drain(core, clocks, outstanding[core])
             results[core].cycles = clocks[core]
             result.segment_ends[tokens[core]] = clocks[core]
             if on_segment is not None:
@@ -267,17 +260,18 @@ class MulticoreMachine:
                 active.append((clocks[core], core))
         heapq.heapify(active)
         while active:
-            _clock, core = heapq.heappop(active)
+            core = active[0][1]
             cursor = cursors[core]
             position = cursor.pos
-            if position >= cursor.n:
+            if position < cursor.n:
+                cursor.pos = position + 1
+                self._step_soa(core, cursor, position, clocks, outstanding, results)
+            else:
                 finish_segment(core)
-                if load_next(core):
-                    heapq.heappush(active, (clocks[core], core))
-                continue
-            cursor.pos = position + 1
-            self._step_soa(core, cursor, position, clocks, outstanding, results)
-            heapq.heappush(active, (clocks[core], core))
+                if not load_next(core):
+                    heapq.heappop(active)
+                    continue
+            heapq.heapreplace(active, (clocks[core], core))
         memory.drain()
         result.coherence = self.directory.stats.snapshot()
         if self.directory.synonym is not None:
@@ -289,20 +283,15 @@ class MulticoreMachine:
     def _step(self, core, access, clocks, outstanding, results, stream=0):
         clocks[core] += access.gap
         op = access.op
+        llc = self.directory.llc
         if op == Op.UNPIN:
             first = access.address // CACHE_LINE_BYTES
             last = (access.address + access.size - 1) // CACHE_LINE_BYTES
             for index in range(first, last + 1):
-                self.directory.llc.set_pinned(
-                    line_key_from_index(index, access.orientation), False
-                )
+                llc.set_pinned(line_key_from_index(index, access.orientation), False)
             return
         if access.barrier:
-            while outstanding[core]:
-                clocks[core] = max(
-                    clocks[core],
-                    self.memory.completion_of(outstanding[core].popleft()),
-                )
+            self._drain(core, clocks, outstanding[core])
         result = results[core]
         result.accesses += 1
         orientation = access.orientation
@@ -312,35 +301,33 @@ class MulticoreMachine:
             key = line_key_from_index(index, orientation)
             if access.is_write:
                 hit, llc_hit, extra, writebacks = self.directory.write(
-                    core, key, self._word_mask(access, index)
+                    core, key, line_word_mask(access, index)
                 )
             else:
                 hit, llc_hit, extra, writebacks = self.directory.read(core, key)
             clocks[core] += extra
             result.coherence_cycles += extra
             for victim_key in writebacks:
-                self._writeback(victim_key, clocks[core], stream)
+                post_writeback(self.memory, victim_key, clocks[core], stream)
             if hit:
                 result.private_hits += 1
-                continue
-            if llc_hit:
+            elif llc_hit:
                 result.llc_hits += 1
                 clocks[core] += self.llc_latency
-                if access.pin:
-                    self.directory.llc.set_pinned(key, True)
-                continue
-            result.misses += 1
-            req = self._line_request(
-                key, access, clocks[core] + self.llc_latency, stream
-            )
-            outstanding[core].append(req)
-            if len(outstanding[core]) > self.window:
-                clocks[core] = max(
-                    clocks[core],
-                    self.memory.completion_of(outstanding[core].popleft()),
+            else:
+                result.misses += 1
+                req = line_request(
+                    self.memory, key, access, clocks[core] + self.llc_latency,
+                    stream,
                 )
+                outstanding[core].append(req)
+                if len(outstanding[core]) > self.window:
+                    clocks[core] = max(
+                        clocks[core],
+                        self.memory.completion_of(outstanding[core].popleft()),
+                    )
             if access.pin:
-                self.directory.llc.set_pinned(key, True)
+                llc.set_pinned(key, True)
 
     def _step_soa(self, core, cursor, position, clocks, outstanding, results):
         """One finalized-trace access for one core — the array twin of
@@ -359,10 +346,7 @@ class MulticoreMachine:
         flags = cursor.flags[position]
         queue = outstanding[core]
         if flags & FLAG_BARRIER:
-            while queue:
-                clocks[core] = max(
-                    clocks[core], self.memory.completion_of(queue.popleft())
-                )
+            self._drain(core, clocks, queue)
         result = results[core]
         result.accesses += 1
         is_write = op == _OP_WRITE or op == _OP_CWRITE
@@ -380,75 +364,43 @@ class MulticoreMachine:
                 clocks[core] += extra
                 result.coherence_cycles += extra
             for victim_key in writebacks:
-                self._writeback(victim_key, clocks[core], cursor.stream)
+                post_writeback(self.memory, victim_key, clocks[core], cursor.stream)
             if hit:
                 result.private_hits += 1
-                continue
-            if llc_hit:
+            elif llc_hit:
                 result.llc_hits += 1
                 clocks[core] += self.llc_latency
-                if pin:
-                    directory.llc.set_pinned(key, True)
-                continue
-            result.misses += 1
-            arrival = clocks[core] + self.llc_latency
-            if is_gather:
-                coord = cursor.coords.get(position)
-                if coord is None:
-                    raise CapabilityError(
-                        "gather access requires a device coordinate"
-                    )
-                req = self.memory.request_for_coord(
-                    coord, Orientation.GATHER, is_write, arrival,
-                    stream=cursor.stream,
-                )
             else:
-                channel = cursor.dch[k]
-                req = MemRequest(
-                    channel, cursor.drk[k], cursor.dbk[k], cursor.dsa[k],
-                    cursor.drow[k], cursor.dcol[k],
-                    _ORIENT_OBJS[cursor.lorients[k]], is_write, arrival,
-                    cursor.stream,
-                )
-                self.memory.controllers[channel].submit(req)
-            queue.append(req)
-            if len(queue) > self.window:
-                clocks[core] = max(
-                    clocks[core], self.memory.completion_of(queue.popleft())
-                )
+                result.misses += 1
+                arrival = clocks[core] + self.llc_latency
+                if is_gather:
+                    coord = cursor.coords.get(position)
+                    if coord is None:
+                        raise CapabilityError(
+                            "gather access requires a device coordinate"
+                        )
+                    req = self.memory.request_for_coord(
+                        coord, Orientation.GATHER, is_write, arrival,
+                        stream=cursor.stream,
+                    )
+                else:
+                    channel = cursor.dch[k]
+                    req = MemRequest(
+                        channel, cursor.drk[k], cursor.dbk[k], cursor.dsa[k],
+                        cursor.drow[k], cursor.dcol[k],
+                        _ORIENT_OBJS[cursor.lorients[k]], is_write, arrival,
+                        cursor.stream,
+                    )
+                    self.memory.controllers[channel].submit(req)
+                queue.append(req)
+                if len(queue) > self.window:
+                    clocks[core] = max(
+                        clocks[core], self.memory.completion_of(queue.popleft())
+                    )
             if pin:
                 directory.llc.set_pinned(key, True)
 
-    def _line_request(self, key, access, arrival, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            if access.coord is None:
-                raise CapabilityError("gather access requires a device coordinate")
-            return self.memory.request_for_coord(
-                access.coord, orientation, access.is_write, arrival,
-                stream=stream,
-            )
-        return self.memory.request_for_line(
-            key_address(key), orientation, access.is_write, arrival,
-            stream=stream,
-        )
-
-    def _writeback(self, key, now, stream=0):
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            return
-        self.memory.request_for_line(
-            key_address(key), orientation, True, now, stream=stream
-        )
-
-    @staticmethod
-    def _word_mask(access, line_index):
-        line_start = line_index * CACHE_LINE_BYTES
-        start = max(access.address, line_start)
-        end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
-        first_word = (start - line_start) // WORD_BYTES
-        last_word = (end - 1 - line_start) // WORD_BYTES
-        mask = 0
-        for word in range(first_word, last_word + 1):
-            mask |= 1 << word
-        return mask
+    def _drain(self, core, clocks, queue):
+        """Block ``core`` until every miss in its ``queue`` completes."""
+        while queue:
+            clocks[core] = max(clocks[core], self.memory.completion_of(queue.popleft()))

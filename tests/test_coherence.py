@@ -74,6 +74,25 @@ class TestStates:
         hit, _llc, extra, _wb = directory.read(0, key(1))
         assert hit and extra == 0
 
+    def test_each_line_has_one_record(self):
+        """Private sets map keys to states and the directory maps keys to
+        sharer bitmasks; no line objects, no side tables."""
+        directory = make_directory(cores=3)
+        directory.read(0, key(1))
+        directory.read(2, key(1))
+        directory.write(1, key(2))
+        assert directory.directory == {key(1): 0b101, key(2): 0b010}
+        assert [list(cache.sets[1].items()) for cache in directory.private_caches] == [
+            [(key(1), Mesi.SHARED)],
+            [],
+            [(key(1), Mesi.SHARED)],
+        ]
+        assert list(directory.private_caches[1].sets[0].items()) == [
+            (key(2), Mesi.MODIFIED)
+        ]
+        # A private hit returns one shared result; it allocates nothing.
+        assert directory.read(0, key(1)) is directory.read(2, key(1))
+
 
 class TestInvariants:
     def test_single_writer(self):

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.cache.hierarchy import make_hierarchy
+from repro.cache.line import line_key
 from repro.core import isa
-from repro.core.addressing import Coordinate
+from repro.core.addressing import Coordinate, Orientation
+from repro.cpu.machine import Machine
 from repro.cpu.multicore import MulticoreMachine
-from repro.memsim.system import make_small_dram, make_small_rcnvm
+from repro.cpu.trace import Access, Op
+from repro.cpu.tracebuffer import TraceBuffer
+from repro.geometry import SMALL_RCNVM_GEOMETRY
+from repro.memsim.system import make_rcnvm, make_small_dram, make_small_rcnvm
 
 
 def machine(system="RC-NVM", n_cores=2, **kwargs):
@@ -112,3 +118,24 @@ class TestMixedOrientations:
         result = m.run([rows, cols])
         assert result.memory["col_oriented"] > 0
         assert result.memory["row_oriented"] > 0
+
+
+class TestPinning:
+    TRACE = (Access(Op.CREAD, 320), Access(Op.CREAD, 320, pin=True))
+    KEY = line_key(320, Orientation.COLUMN)
+
+    @pytest.mark.parametrize("as_buffer", [False, True], ids=["list", "buffer"])
+    def test_pinned_private_hit_pins_the_llc_line(self, as_buffer):
+        """The second access hits the private cache; like the single-core
+        machine at every hit level, it still pins the line in the LLC."""
+        trace = list(self.TRACE)
+        if as_buffer:
+            trace = TraceBuffer()
+            trace.extend(self.TRACE)
+        single = Machine(make_rcnvm(SMALL_RCNVM_GEOMETRY), make_hierarchy())
+        single.run(trace)
+        assert single.hierarchy.llc.probe(self.KEY).pinned
+        multi = MulticoreMachine(make_rcnvm(SMALL_RCNVM_GEOMETRY), n_cores=1)
+        result = multi.run([trace])
+        assert result.cores[0].private_hits == 1
+        assert multi.directory.llc.probe(self.KEY).pinned

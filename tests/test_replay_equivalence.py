@@ -8,15 +8,22 @@ paths are only performance optimizations: on the same trace they must
 produce *bit-for-bit* identical :class:`RunResult`\\ s — every counter,
 every cache/memory stats snapshot, every latency histogram bucket.
 These tests enforce that on the SQL benchmark suite (scale from
-``REPRO_BENCH_SCALE``, default 0.05) for every figure system, and on
-the multicore OLXP mix.
+``REPRO_BENCH_SCALE``, default 0.05) for every figure system, on the
+multicore OLXP mix, and on random multicore traces.
 """
 
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.addressing import Coordinate, Orientation
+from repro.cpu.multicore import MulticoreMachine
+from repro.cpu.trace import Access, Op
+from repro.cpu.tracebuffer import TraceBuffer
+from repro.geometry import SMALL_DRAM_GEOMETRY, SMALL_RCNVM_GEOMETRY
 from repro.harness.systems import build_system
+from repro.memsim.system import make_gsdram, make_rcnvm
 from repro.workloads.queries import QUERIES
 from repro.workloads.suite import build_benchmark_database
 
@@ -117,3 +124,90 @@ def test_multicore_batched_replay_is_bit_for_bit(system_name):
     batched = machine.run(buffers)
 
     assert precise == batched, system_name
+
+
+#: Small systems for random multicore traces, with the ops each serves
+#: and the address spaces its unpins name.
+_MC_SYSTEMS = {
+    "RC-NVM": (
+        lambda: make_rcnvm(SMALL_RCNVM_GEOMETRY),
+        (Op.READ, Op.WRITE, Op.CREAD, Op.CWRITE, Op.UNPIN),
+        (Orientation.ROW, Orientation.COLUMN),
+    ),
+    "GS-DRAM": (
+        lambda: make_gsdram(SMALL_DRAM_GEOMETRY),
+        (Op.READ, Op.WRITE, Op.GATHER, Op.UNPIN),
+        (Orientation.ROW,),
+    ),
+}
+#: 1 KiB private caches and a 2 KiB LLC, both 2-way, against accesses to
+#: the first 48 lines of each address space: private and LLC sets
+#: overflow, and pinned LLC ways get skipped.
+_MC_CACHES = dict(l1_kib=1, llc_kib=2, ways=2)
+_MC_LINES = 48
+
+
+@st.composite
+def _access(draw, ops, unpin_orientations):
+    op = draw(st.sampled_from(ops))
+    gap = draw(st.integers(0, 40))
+    if op is Op.GATHER:
+        coord = Coordinate(
+            0, 0, draw(st.integers(0, 3)), 0, draw(st.integers(0, 15)),
+            8 * draw(st.integers(0, 15)),
+        )
+        line = draw(st.integers(0, _MC_LINES - 1))
+        return Access(op, line * 64, 64, gap, draw(st.booleans()), coord=coord)
+    address = 8 * draw(st.integers(0, _MC_LINES * 8 - 1))
+    size = draw(st.sampled_from((8, 16, 64, 128)))
+    if op is Op.UNPIN:
+        orientation = draw(st.sampled_from(unpin_orientations))
+        return Access(op, address, size, gap, orientation=orientation)
+    return Access(
+        op, address, size, gap, barrier=draw(st.booleans()), pin=draw(st.booleans())
+    )
+
+
+@st.composite
+def _multicore_traces(draw):
+    """A small system and 1-4 per-core access lists for it."""
+    system = draw(st.sampled_from(sorted(_MC_SYSTEMS)))
+    _factory, ops, unpin_orientations = _MC_SYSTEMS[system]
+    access = _access(ops, unpin_orientations)
+    traces = draw(st.lists(st.lists(access, max_size=30), min_size=1, max_size=4))
+    return system, traces
+
+
+def _directory_state(machine):
+    """Private sets in LRU order with their states, the sharer masks, the
+    LLC lines in LRU order with their bits, and every cache's stats."""
+    directory = machine.directory
+    caches = [*directory.private_caches, directory.llc]
+    return (
+        [[list(cache_set.items()) for cache_set in cache.sets]
+         for cache in directory.private_caches],
+        directory.directory,
+        [[(key, line.dirty, line.pinned, line.crossing)
+          for key, line in cache_set.items()]
+         for cache_set in directory.llc.sets],
+        [cache.stats.snapshot() for cache in caches],
+    )
+
+
+@given(case=_multicore_traces())
+def test_random_multicore_traces_replay_identically(case):
+    """``MulticoreMachine.run`` on access lists (``_step``) and on trace
+    buffers (``_step_soa``) ends in the same result and directory state."""
+    system, traces = case
+    factory = _MC_SYSTEMS[system][0]
+    precise_machine = MulticoreMachine(factory(), len(traces), **_MC_CACHES)
+    precise = precise_machine.run(traces)
+    buffers = []
+    for trace in traces:
+        buffer = TraceBuffer()
+        buffer.extend(trace)
+        buffers.append(buffer)
+    batched_machine = MulticoreMachine(factory(), len(traces), **_MC_CACHES)
+    batched = batched_machine.run(buffers)
+    assert precise == batched, system
+    assert _directory_state(precise_machine) == _directory_state(batched_machine)
