@@ -19,8 +19,9 @@ class _EmptySet(OrderedDict):
 
 
 #: The one empty set all unfilled slots of all caches share, so building
-#: or clearing a cache allocates nothing per set.  Reads treat it as any
-#: empty set; writers go through :meth:`Cache.writable_set`.
+#: a cache allocates nothing per set and clearing one touches only the
+#: sets it filled.  Reads treat it as any empty set; writers go through
+#: :meth:`Cache.writable_set`, which records each set it materializes.
 EMPTY_SET = _EmptySet()
 
 
@@ -55,7 +56,9 @@ class Cache:
         if self.num_sets & (self.num_sets - 1):
             raise ConfigurationError(f"{name}: number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
-        self.clear()
+        self.sets = [EMPTY_SET] * self.num_sets
+        #: Indices of the materialized sets, in fill order.
+        self._filled = []
         self.stats = CacheStats()
 
     # -- indexing ------------------------------------------------------------
@@ -67,6 +70,7 @@ class Cache:
         cache_set = self.sets[index]
         if cache_set is EMPTY_SET:
             cache_set = self.sets[index] = OrderedDict()
+            self._filled.append(index)
         return cache_set
 
     # -- lookups ---------------------------------------------------------------
@@ -138,16 +142,19 @@ class Cache:
             line.pinned = pinned
         return line
 
-    # -- introspection ---------------------------------------------------------
+    # -- introspection (walks only the materialized sets) ----------------------
     def resident_lines(self):
-        for cache_set in self.sets:
-            yield from cache_set.values()
+        """Resident lines by ascending set index, LRU first within a set."""
+        for index in sorted(self._filled):
+            yield from self.sets[index].values()
 
     def occupancy(self):
-        return sum(len(cache_set) for cache_set in self.sets)
+        return sum(len(self.sets[index]) for index in self._filled)
 
     def clear(self):
-        self.sets = [EMPTY_SET] * self.num_sets
+        for index in self._filled:
+            self.sets[index] = EMPTY_SET
+        self._filled = []
 
     def __repr__(self):
         return f"Cache({self.name}, {self.size_bytes >> 10} KiB, {self.ways}-way)"

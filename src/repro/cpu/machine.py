@@ -21,10 +21,14 @@ Latency accounting:
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
 from repro.cache.hierarchy import MISS, CacheHierarchy
-from repro.cache.line import key_address, key_orientation, line_key_from_index
+from repro.cache.line import (
+    SPACE_SHIFT, key_address, key_line_index, key_orientation, line_key_from_index,
+)
 from repro.cpu.replaykernel import kernel_eligible, run_kernel
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import (
@@ -433,17 +437,27 @@ class Machine:
         lines actually written back — gather-orientation lines are
         read-only snapshots and post no write, so they are not counted.
         ``on_line`` (if given) is called with the running count after
-        each posted writeback; it may raise to model a crash mid-flush."""
-        dirty = self.hierarchy.flush()
-        flushed = 0
-        for key in dirty:
-            if post_writeback(self.memory, key, now) is not None:
-                flushed += 1
-                if on_line is not None:
-                    on_line(flushed)
-        self.memory.drain()
-        self.memory.flush_buffers()
-        return flushed
+        each posted writeback; it may raise to model a crash mid-flush.
+        The keys are decoded in one batch; each request is the one
+        :func:`post_writeback` would submit, in the same order."""
+        keys = np.array(self.hierarchy.flush(), dtype=np.int64)
+        keys = keys[keys >> SPACE_SHIFT != int(Orientation.GATHER)]
+        orients = keys >> SPACE_SHIFT
+        memory = self.memory
+        fields = memory.mapper.decode_fields(
+            key_line_index(keys) * CACHE_LINE_BYTES, orients
+        )
+        for flushed, (channel, rank, bank, sub, row, col, orient) in enumerate(
+            zip(*(column.tolist() for column in fields), orients.tolist()), 1
+        ):
+            memory.controllers[channel].submit(MemRequest(
+                channel, rank, bank, sub, row, col, _ORIENT_OBJS[orient], True, now
+            ))
+            if on_line is not None:
+                on_line(flushed)
+        memory.drain()
+        memory.flush_buffers()
+        return len(keys)
 
     def _unpin_range(self, access):
         first_line = access.address // CACHE_LINE_BYTES

@@ -27,10 +27,11 @@ and ``repro.obs`` spans like any other memory the engine touches.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.addressing import Orientation
 from repro.errors import LayoutError
-from repro.geometry import WORDS_PER_LINE
-from repro.imdb.chunks import Run
+from repro.geometry import WORD_BYTES, WORDS_PER_LINE
 from repro.obs import tracer as obs
 from repro.durability.wal import (
     RecordType,
@@ -41,7 +42,7 @@ from repro.durability.wal import (
     drop_table_payload,
     insert_payload,
     name_field_payload,
-    tuple_write_payload,
+    tuple_write_block,
 )
 
 
@@ -98,26 +99,10 @@ class DurabilityManager:
     def _channel(self):
         return self.database.physmem.subarray_coord(self.region.subarray)[0]
 
-    def _append(self, rtype, seq, payload, trace=None, charge=True):
-        """Write one record; ``charge=False`` defers stats accounting
-        (statement-group records are charged at commit time instead, so
-        ``fresh_timing`` statement resets cannot wipe them)."""
+    def _append(self, rtype, seq, payload):
+        """Write and charge one record."""
         segments, words = self.writer.append(rtype, seq, payload)
-        if charge:
-            self.database.memory.charge_wal(self._channel(), 1, words)
-        if trace is not None:
-            executor = self.database.executor
-            for row, col, count in segments:
-                run = Run(
-                    subarray=self.region.subarray,
-                    vertical=False,
-                    fixed=row,
-                    start=col,
-                    count=count,
-                    first_tuple=0,
-                    tuple_stride=0,
-                )
-                executor.emit_run(trace, run, write=True, gap=1)
+        self.database.memory.charge_wal(self._channel(), 1, words)
         return segments, words
 
     def rects(self):
@@ -178,23 +163,47 @@ class DurabilityManager:
         self._open_records = 0
         self._open_words = 0
 
-    def log_tuple_write(self, trace, table_name, tuple_id, field, value,
-                        word=0):
-        """Log one tuple-field write *before* the data write happens."""
-        if self.replaying:
-            return
+    def log_tuple_write(self, table_name, tuple_ids, assignments):
+        """Log a statement's tuple writes *before* its data writes: one
+        record per tuple and ``(field, value)`` assignment, tuple-major and
+        in SET order, written as one block.  A value that does not fit a
+        cell, or a block that does not fit the log, raises before any WAL
+        cell changes.  The records are charged at commit time, so
+        ``fresh_timing`` statement resets cannot wipe them.
+
+        Returns the trace accesses ``(addresses, sizes, bounds)``: one
+        row write per row segment of each record, tuple ``i``'s at
+        ``bounds[i]:bounds[i + 1]``."""
+        if self.replaying or not len(tuple_ids):
+            return None
+        seq = self._next_seq if self._open_seq is None else self._open_seq
+        blocks = [tuple_write_block(seq, table_name, field, tuple_ids, value)
+                  for field, value in assignments]
+        words = np.concatenate(blocks, axis=1).reshape(-1)
+        start = self.writer.cursor
+        records = len(tuple_ids) * len(blocks)
+        self.writer.append_block(words, records)
         if self._open_seq is None:
-            self._open_seq = self._next_seq
+            self._open_seq = seq
             self._next_seq += 1
-        _segments, words = self._append(
-            RecordType.TUPLE_WRITE,
-            self._open_seq,
-            tuple_write_payload(table_name, field, tuple_id, word, value),
-            trace=trace,
-            charge=False,
+        self._open_records += records
+        self._open_words += len(words)
+        # Each record splits where it crosses a row of the rectangle.
+        lengths = np.tile([block.shape[1] for block in blocks], len(tuple_ids))
+        starts = start + np.cumsum(lengths) - lengths
+        end = start + len(words)
+        p = self.region.placement
+        cuts = np.union1d(starts, np.arange((start // p.width + 1) * p.width,
+                                            end, p.width))
+        rows, cols = np.divmod(cuts, p.width)
+        physmem = self.database.physmem
+        addresses = physmem.mapper.encode_cells(
+            *physmem.subarray_coord(self.region.subarray),
+            p.y + rows, p.x + cols, Orientation.ROW,
         )
-        self._open_records += 1
-        self._open_words += words
+        sizes = np.diff(cuts, append=end) * WORD_BYTES
+        bounds = np.append(np.searchsorted(cuts, starts[::len(blocks)]), len(cuts))
+        return addresses, sizes, bounds
 
     def commit_statement(self, machine):
         """Run the persistence barrier and write the commit marker.

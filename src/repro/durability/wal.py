@@ -220,6 +220,24 @@ def tuple_write_payload(name, field, tuple_id, word, value):
     )
 
 
+def tuple_write_block(seq, name, field, tuple_ids, value):
+    """The TUPLE_WRITE records of ``field = value`` for every tuple of
+    ``tuple_ids`` as an ``(n, words)`` int64 array: row ``i`` is exactly
+    :func:`encode_record` of tuple ``i``'s record."""
+    payload = tuple_write_payload(name, field, 0, 0, _check_word(value))
+    head = [(MAGIC << 16) | RecordType.TUPLE_WRITE, seq, len(payload)]
+    block = np.tile(np.array(head + payload + [0], dtype=np.int64),
+                    (len(tuple_ids), 1))
+    block[:, HEADER_WORDS + len(payload) - 3] = tuple_ids
+    raw = block[:, :-1].astype("<i8").tobytes()
+    stride = 8 * (block.shape[1] - 1)
+    block[:, -1] = [
+        zlib.crc32(raw[start : start + stride])
+        for start in range(0, len(raw), stride)
+    ]
+    return block
+
+
 def name_field_payload(name, field):
     return _pack_str(name) + _pack_str(field)
 
@@ -310,12 +328,17 @@ class WalWriter:
         self.records_written = 0
 
     def append(self, rtype, seq, payload):
-        """Write one record; returns its row segments for trace emission."""
+        """Write one record; returns its row segments and its length."""
         words = encode_record(rtype, seq, payload)
+        return self.append_block(words, 1), len(words)
+
+    def append_block(self, words, records):
+        """Write ``records`` already-framed records laid end to end in
+        ``words``; nothing is written if they do not all fit."""
         segments = self.region.write(self.cursor, words)
         self.cursor += len(words)
-        self.records_written += 1
-        return segments, len(words)
+        self.records_written += records
+        return segments
 
     def resume(self, offset):
         """Point the writer past surviving records (recovery), zeroing

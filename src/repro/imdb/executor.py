@@ -607,6 +607,10 @@ class Executor:
         ids = np.nonzero(mask)[0]
         fields = [name for name, _value in plan.assignments]
         durability = self.database.durability
+        # Write-ahead: every WAL record lands before any data cell changes,
+        # and a log that cannot take them all raises before any does.
+        wal = (durability.log_tuple_write(table.name, ids, plan.assignments)
+               if durability is not None else None)
         write_method = getattr(plan, "write_method", ScanMethod.ROW)
         if write_method is ScanMethod.COLUMN and len(ids):
             # Write-direction choice (cost model's write-amplification
@@ -615,28 +619,27 @@ class Executor:
             # them instead of one scattered row buffer each.
             self._emit_selective_column_fetch(trace, table, ids, fields,
                                               write=True)
-            for tuple_id in ids:
+            if wal is not None:
+                addresses, sizes, _bounds = wal
+                trace.extend_bulk(Op.WRITE, addresses, sizes, 1)
+            for tuple_id in ids.tolist():
                 for name, value in plan.assignments:
-                    if durability is not None:
-                        durability.log_tuple_write(
-                            trace, table.name, int(tuple_id), name, int(value)
-                        )
-                    table.write_field(int(tuple_id), name, value)
+                    table.write_field(tuple_id, name, value)
             return QueryResult(kind="count", count=len(ids))
         ranges = self._word_ranges(table, fields)
-        for tuple_id in ids:
-            chunk, local = table.chunk_of(int(tuple_id))
+        if wal is not None:
+            addresses, sizes, bounds = (column.tolist() for column in wal)
+        for i, tuple_id in enumerate(ids.tolist()):
+            chunk, local = table.chunk_of(tuple_id)
             for offset, count in ranges:
                 run = chunk.tuple_cells(local, offset, count)
                 self.emit_run(trace, run, write=True, gap=1)
+            if wal is not None:
+                # The tuple's WAL records follow its data runs.
+                for k in range(bounds[i], bounds[i + 1]):
+                    trace.emit(int(Op.WRITE), addresses[k], sizes[k], 1)
             for name, value in plan.assignments:
-                # Write-ahead: the WAL record lands (and is traced)
-                # before the data cells change.
-                if durability is not None:
-                    durability.log_tuple_write(
-                        trace, table.name, int(tuple_id), name, int(value)
-                    )
-                table.write_field(int(tuple_id), name, value)
+                table.write_field(tuple_id, name, value)
         return QueryResult(kind="count", count=len(ids))
 
     # -- ordered multi-column reads (group caching, Section 5) --------------------

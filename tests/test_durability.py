@@ -36,12 +36,18 @@ from repro.durability.wal import (
 from repro.errors import LayoutError, ReproError
 from repro.geometry import SMALL_RCNVM_GEOMETRY
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
+from repro.cache.line import line_key
+from repro.core.addressing import Orientation
+from repro.cpu.machine import post_writeback
 from repro.imdb.binpack import Placement
 from repro.imdb.chunks import Run
 from repro.imdb.database import Database
 from repro.imdb.physmem import PhysicalMemory
+from repro.imdb.planner import ScanMethod
+from repro.imdb.sql_parser import parse
 from repro.memsim import attach_wear_tracker
-from repro.workloads.datagen import populate
+from repro.workloads.datagen import generate_packed, populate
+from repro.workloads.suite import default_layout
 from repro.workloads.tables import ALL_TABLES, TABLE_A, TABLE_B
 from repro.reliability import translate_run
 
@@ -400,7 +406,78 @@ def test_recovered_database_stays_durable():
     assert _state(rdb2) == {i: (1 if i < 3 else i * 3) for i in range(32)}
 
 
+@pytest.mark.parametrize("system, wal_rows, write_method", [
+    ("RC-NVM", 6, ScanMethod.COLUMN),
+    ("DRAM", 24, ScanMethod.ROW),
+])
+def test_update_that_overflows_the_wal_changes_nothing(system, wal_rows,
+                                                       write_method):
+    """An UPDATE whose records do not all fit the log raises before any
+    tuple changes, so the live table still equals the recovered one."""
+    memory = build_system(system)
+    db = Database(memory, verify=False)
+    db.enable_durability(wal_rows=wal_rows)
+    table = db.create_table(TABLE_A, ALL_TABLES[TABLE_A](),
+                            layout=default_layout(memory))
+    packed = generate_packed(TABLE_A, 256, table.tuple_words)
+    db.insert_many(TABLE_A, [table.schema.unpack(row) for row in packed])
+    sql = f"UPDATE {TABLE_A} SET f2 = 7"
+    assert db.planner.plan(parse(sql)).write_method is write_method
+    cursor = db.durability.writer.cursor
+
+    def rows(database):
+        t = database.table(TABLE_A)
+        return [t.read_tuple(i) for i in range(t.n_tuples)]
+
+    before = rows(db)
+    with pytest.raises(WalFullError):
+        db.execute(sql)
+    assert db.durability.writer.cursor == cursor
+    assert not db.durability.pending
+    assert rows(db) == before
+    recovered, _report = recover(db)
+    assert rows(recovered) == before
+
+
 # -- satellite: flush_caches count + wear --------------------------------------
+def test_flush_caches_posts_what_post_writeback_would():
+    """The batched barrier submits the scalar path's requests in flush
+    order; a dirty gather line posts nothing and is not counted."""
+    posted = []
+    for batched in (True, False):
+        db = Database(build_system("RC-NVM", small=True),
+                      cache_config=SMALL_CACHE_CONFIG, verify=False)
+        db.create_table("t", [("id", 8), ("v", 8)], layout="column")
+        db.insert_many("t", [(i, i) for i in range(300)])
+        db.execute("UPDATE t SET v = 9 WHERE id < 200")
+        for tuple_id in (251, 260, 299):  # row-path UPDATEs
+            db.execute(f"UPDATE t SET v = 8 WHERE id = {tuple_id}",
+                       fresh_timing=False)
+        db.hierarchy.levels[0].install(
+            line_key(1 << 12, Orientation.GATHER), dirty=True
+        )
+        requests = []
+        for controller in db.memory.controllers:
+            submit = controller.submit
+            controller.submit = (lambda req, submit=submit: (
+                requests.append((req.channel, req.rank, req.bank,
+                                 req.subarray, req.row, req.col,
+                                 req.orientation, req.is_write, req.arrival,
+                                 req.stream)),
+                submit(req),
+            ))
+        if batched:
+            count = db.machine.flush_caches(now=5)
+        else:
+            keys = db.hierarchy.flush()
+            count = sum(post_writeback(db.memory, key, 5) is not None
+                        for key in keys)
+        posted.append((count, requests))
+    assert posted[0] == posted[1]
+    assert {req[6] for req in posted[0][1]} == {Orientation.ROW,
+                                                 Orientation.COLUMN}
+
+
 def test_flush_caches_returns_posted_count_and_charges_wear():
     db = Database(build_system("RC-NVM", small=True),
                   cache_config=SMALL_CACHE_CONFIG, verify=False)
@@ -582,7 +659,7 @@ def test_migration_never_splits_a_durability_barrier():
     table = db.tables["t"]
     engine.tracker.heat[engine.chunk_key(table, table.chunks[0])] = 1e6
     dur = db.durability
-    dur.log_tuple_write(None, "t", 0, "v", 1)  # open, uncommitted group
+    dur.log_tuple_write("t", [0], [("v", 1)])  # open, uncommitted group
     try:
         assert dur.pending
         assert engine.rebalance() == 0  # refused inside the barrier

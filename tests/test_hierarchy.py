@@ -1,8 +1,9 @@
 """Cache hierarchy: promotion, inclusivity, write-back, synonym driving."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.cache.cache import Cache
+from repro.cache.cache import EMPTY_SET, Cache
 from repro.cache.hierarchy import MISS, CacheHierarchy
 from repro.cache.line import line_key
 from repro.cache.synonym import SynonymDirectory
@@ -112,6 +113,34 @@ class TestEvictionAndWriteback:
             key(0), key(2), key(5), key(7),  # L1 set 0, then set 1
             key(1), key(3),  # L2 sets 1 and 3, though 3 went dirty first
         ]
+
+    @given(st.lists(st.tuples(st.integers(0, 255), st.booleans()),
+                    min_size=1, max_size=80))
+    def test_flush_walks_filled_sets_like_a_full_walk(self, fills):
+        """Sets filled in random order flush exactly as a walk over every
+        set would; flush leaves no set filled, and the caches refill."""
+
+        def fill_all():
+            for index, dirty in fills:
+                hierarchy.fill(key(index), dirty)
+            expected, seen = [], set()
+            for level in hierarchy.levels:
+                for cache_set in level.sets:
+                    for line in cache_set.values():
+                        if line.dirty and line.key not in seen:
+                            seen.add(line.key)
+                            expected.append(line.key)
+            return expected
+
+        hierarchy = small_hierarchy()
+        expected = fill_all()
+        assert hierarchy.flush() == expected
+        for level in hierarchy.levels:
+            assert all(cache_set is EMPTY_SET for cache_set in level.sets)
+            assert level.occupancy() == 0
+        assert hierarchy.flush() == []
+        assert fill_all() == expected
+        assert hierarchy.flush() == expected
 
 
 class TestPinning:

@@ -93,6 +93,10 @@ class LruCacheModel(RuleBasedStateMachine):
         for set_index, model_set in self.model.items():
             actual = list(self.cache.sets[set_index])
             assert actual == model_set
+        # The filled-set walks: ascending set index, then LRU order.
+        expected = [key for s in sorted(self.model) for key in self.model[s]]
+        assert [line.key for line in self.cache.resident_lines()] == expected
+        assert self.cache.occupancy() == len(expected)
 
 
 class MesiModel(RuleBasedStateMachine):
