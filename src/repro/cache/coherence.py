@@ -16,8 +16,10 @@ shared inclusive LLC:
   (downgrading an M/E owner); writes invalidate all other sharers and
   install M;
 * LLC evictions recall the line from every private cache;
-* synonym resolution reuses :class:`~repro.cache.synonym.SynonymDirectory`
-  against the shared LLC, exactly as in the single-core hierarchy.
+* synonym resolution comes first: every LLC fill, write and eviction is
+  handed to the shared LLC's :class:`~repro.cache.synonym.SynonymDirectory`,
+  the same resolver rules the single-core hierarchy calls, which also
+  keeps the LLC's residency counts.
 
 Message costs are fixed per hop and charged to the requesting core.
 """
@@ -26,8 +28,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.cache.cache import EMPTY_SET, Cache
-from repro.cache.line import key_orientation
-from repro.core.addressing import Orientation
 from repro.errors import ProtocolError
 
 
@@ -100,7 +100,6 @@ class MesiDirectory:
         self.synonym = synonym
         self.directory = {}
         self.stats = CoherenceStats()
-        self._orientation_counts = [0, 0, 0]
 
     @property
     def n_cores(self):
@@ -174,7 +173,8 @@ class MesiDirectory:
                 )
                 self.directory[key] = 1 << core
             cache_set[key] = _MODIFIED
-            extra += self._synonym_write(key, word_mask)
+            if self.synonym is not None:
+                extra += self.synonym.on_write(self.llc, key, word_mask)
             return True, True, extra, ()
         cache.stats.misses += 1
         self.stats.write_misses += 1
@@ -190,7 +190,8 @@ class MesiDirectory:
             extra += self._invalidate_others(core, key, sharers)
         self._install_private(core, cache_set, key, _MODIFIED)
         self.directory[key] = 1 << core
-        extra += self._synonym_write(key, word_mask)
+        if self.synonym is not None:
+            extra += self.synonym.on_write(self.llc, key, word_mask)
         return False, llc_hit, extra, writebacks
 
     # -- internals -------------------------------------------------------------
@@ -218,13 +219,12 @@ class MesiDirectory:
         """Fill ``key`` into the LLC; returns ``(extra, writebacks)``."""
         extra = 0
         writebacks = ()
-        _line, victim = self.llc.install(key, dirty=False)
-        orientation = key_orientation(key)
-        if orientation is not Orientation.GATHER:
-            self._orientation_counts[orientation] += 1
+        line, victim = self.llc.install(key, dirty=False)
         if victim is not None:
             extra, writebacks = self._evict_llc(victim)
-        return extra + self._synonym_fill(key), writebacks
+        if self.synonym is not None:
+            extra += self.synonym.on_fill(self.llc, line)
+        return extra, writebacks
 
     def _evict_llc(self, victim):
         """Inclusive LLC eviction: recall from every private cache.
@@ -240,21 +240,8 @@ class MesiDirectory:
                 dirty = True
                 self.stats.writebacks_recalled += 1
             extra += self.INVALIDATION_COST
-        orientation = key_orientation(key)
-        if orientation is not Orientation.GATHER:
-            self._orientation_counts[orientation] -= 1
-            if self.synonym is not None and victim.crossing:
-                clears = 0
-                for cross_key, word_self, word_other in self.synonym.crossing_keys(
-                    key
-                ):
-                    if not victim.has_crossing(word_self):
-                        continue
-                    other = self.llc.probe(cross_key)
-                    if other is not None:
-                        other.clear_crossing(word_other)
-                        clears += 1
-                extra += self.synonym.charge_eviction_clears(clears)
+        if self.synonym is not None:
+            extra += self.synonym.on_evict(self.llc, victim)
         return extra, ((key,) if dirty else ())
 
     def _invalidate_others(self, core, key, sharers):
@@ -289,34 +276,3 @@ class MesiDirectory:
         """Dirty data leaves a private cache for the (inclusive) LLC."""
         self.llc.probe(key).dirty = True
         self.stats.writebacks_recalled += 1
-
-    # -- synonym composition (Section 4.3.3: synonym first, then MESI) --------
-    def _synonym_fill(self, key):
-        if self.synonym is None:
-            return 0
-        orientation = key_orientation(key)
-        if orientation is Orientation.GATHER:
-            return 0
-        if not self._orientation_counts[orientation.opposite]:
-            return 0
-        line = self.llc.probe(key)
-        copies = 0
-        for cross_key, word_self, word_other in self.synonym.crossing_keys(key):
-            other = self.llc.probe(cross_key)
-            if other is None:
-                continue
-            line.set_crossing(word_self)
-            other.set_crossing(word_other)
-            copies += 1
-        return self.synonym.charge_fill_check(copies)
-
-    def _synonym_write(self, key, word_mask):
-        if self.synonym is None:
-            return 0
-        if key_orientation(key) is Orientation.GATHER:
-            return 0
-        line = self.llc.probe(key)
-        if line is None or not (line.crossing & word_mask):
-            return 0
-        updates = bin(line.crossing & word_mask).count("1")
-        return self.synonym.charge_write_updates(updates)

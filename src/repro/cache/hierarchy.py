@@ -5,20 +5,17 @@ Fills install at every level (the hierarchy is inclusive), and an LLC
 eviction back-invalidates the upper levels and triggers a memory
 writeback if any copy was dirty.
 
-The hierarchy also drives the synonym machinery of Section 4.3: crossing
-checks on fills, duplicate updates on writes, and crossing-bit clears on
-evictions, all priced by a :class:`~repro.cache.synonym.SynonymDirectory`.
-Synonym work only applies to row/column-oriented lines of an RC-NVM
-system; conventional systems pass ``synonym=None`` and skip it entirely.
+On an RC-NVM system the hierarchy tells its
+:class:`~repro.cache.synonym.SynonymDirectory` about every LLC fill, write
+and eviction; the resolver applies the Section 4.3 synonym rules and
+keeps the LLC's residency counts.  Conventional systems pass
+``synonym=None`` and skip it entirely.
 """
 
-from repro.core.addressing import Orientation
 from repro.cache.cache import Cache
-from repro.cache.line import CacheLine, SPACE_SHIFT, key_orientation
+from repro.cache.line import CacheLine
 
 MISS = -1
-
-_GATHER_TAG = int(Orientation.GATHER)
 
 
 class CacheHierarchy:
@@ -34,9 +31,6 @@ class CacheHierarchy:
         #: fill path runs once per LLC miss and must not re-slice.
         self._upper_rev = tuple(reversed(self.levels[:-1]))
         self.synonym = synonym
-        #: Number of LLC-resident lines per orientation; used to skip
-        #: crossing checks when no opposite-orientation line exists.
-        self._counts = [0, 0, 0]
         #: Dirty LLC victims awaiting a memory writeback, drained by the
         #: machine model after each access.
         self.pending_writebacks = []
@@ -48,7 +42,6 @@ class CacheHierarchy:
         Returns ``(level_index, synonym_cycles)`` with ``level_index`` =
         :data:`MISS` when the line is not resident anywhere.
         """
-        extra = 0
         for index, level in enumerate(self.levels):
             line = level.lookup(key)
             if line is None:
@@ -57,9 +50,10 @@ class CacheHierarchy:
                 self._promote(key, index)
             if is_write:
                 self.levels[0].probe(key).dirty = True
-                extra += self._on_write(key, word_mask)
-            return index, extra
-        return MISS, extra
+                if self.synonym is not None:
+                    return index, self.synonym.on_write(self.llc, key, word_mask)
+            return index, 0
+        return MISS, 0
 
     def fill(self, key, is_write, pin=False, word_mask=0xFF):
         """Install a line fetched from memory into every level.
@@ -74,7 +68,8 @@ class CacheHierarchy:
                 self._demote(level, victim)
         if is_write:
             self.levels[0].probe(key).dirty = True
-            extra += self._on_write(key, word_mask)
+            if self.synonym is not None:
+                extra += self.synonym.on_write(self.llc, key, word_mask)
         return extra
 
     def fill_absent_read(self, key):
@@ -97,10 +92,7 @@ class CacheHierarchy:
         if victim is not None:
             extra += self._on_llc_eviction(victim)
         if self.synonym is not None:
-            tag = key >> SPACE_SHIFT
-            if tag != _GATHER_TAG:
-                self._counts[tag] += 1
-            extra += self._crossing_check(line)
+            extra += self.synonym.on_fill(llc, line)
         for level in self._upper_rev:
             index = key & level._set_mask
             cache_set = level.sets[index]
@@ -127,7 +119,8 @@ class CacheHierarchy:
         return pending
 
     def flush(self):
-        """Write back and drop everything (between benchmark phases)."""
+        """Write back and drop everything (between benchmark phases); the
+        resolver's residency counts go back to zero with the LLC."""
         dirty = []
         seen_dirty = set()
         for level in self.levels:
@@ -136,7 +129,8 @@ class CacheHierarchy:
                     seen_dirty.add(line.key)
                     dirty.append(line.key)
             level.clear()
-        self._counts = [0, 0, 0]
+        if self.synonym is not None:
+            self.synonym.resident = [0, 0, 0]
         return dirty
 
     # -- internals --------------------------------------------------------------
@@ -164,93 +158,34 @@ class CacheHierarchy:
                     self._demote(below, lower_victim)
 
     def _install_llc(self, key, pinned):
-        extra = 0
         line, victim = self.llc.install(key, dirty=False, pinned=pinned)
-        if victim is not None:
-            extra += self._on_llc_eviction(victim)
-        if self.synonym is None:
-            # _counts only gates _crossing_check, which is a no-op without
-            # a synonym directory — skip the bookkeeping entirely.
-            return extra
-        tag = key >> SPACE_SHIFT
-        if tag != _GATHER_TAG:
-            self._counts[tag] += 1
-        extra += self._crossing_check(line)
+        extra = 0 if victim is None else self._on_llc_eviction(victim)
+        if self.synonym is not None:
+            extra += self.synonym.on_fill(self.llc, line)
         return extra
 
     def _on_llc_eviction(self, victim):
-        """Back-invalidate, collect dirtiness, queue writeback, clear
-        crossing bits that point at the victim."""
+        """Back-invalidate, collect dirtiness, queue writeback; the
+        resolver uncounts the victim and clears its partners' bits."""
         dirty = victim.dirty
         for level in self._upper_rev:
             upper = level.invalidate(victim.key)
             if upper is not None and upper.dirty:
                 dirty = True
-        extra = 0
-        if self.synonym is not None and (victim.key >> SPACE_SHIFT) != _GATHER_TAG:
-            self._counts[victim.key >> SPACE_SHIFT] -= 1
-            if victim.crossing:
-                clears = 0
-                for cross_key, word_self, word_other in self.synonym.crossing_keys(
-                    victim.key
-                ):
-                    if not victim.has_crossing(word_self):
-                        continue
-                    other = self.llc.probe(cross_key)
-                    if other is not None:
-                        other.clear_crossing(word_other)
-                        clears += 1
-                extra += self.synonym.charge_eviction_clears(clears)
         if dirty:
             self.pending_writebacks.append(victim.key)
-        return extra
-
-    def _crossing_check(self, line):
-        """Fill-time synonym resolution (first bullet of Section 4.3.2)."""
         if self.synonym is None:
             return 0
-        orientation = key_orientation(line.key)
-        if orientation is Orientation.GATHER:
-            return 0
-        if not self._counts[orientation.opposite]:
-            return 0
-        copies = 0
-        for cross_key, word_self, word_other in self.synonym.crossing_keys(line.key):
-            other = self.llc.probe(cross_key)
-            if other is None:
-                continue
-            # Copy the crossed 8 bytes from the resident line into the new
-            # one so the duplicates agree, and mark both sides.
-            line.set_crossing(word_self)
-            other.set_crossing(word_other)
-            copies += 1
-        return self.synonym.charge_fill_check(copies)
-
-    def _on_write(self, key, word_mask):
-        """Write-time duplicate update (third bullet of Section 4.3.2)."""
-        if self.synonym is None:
-            return 0
-        if key_orientation(key) is Orientation.GATHER:
-            return 0
-        line = self.llc.probe(key)
-        if line is None or not (line.crossing & word_mask):
-            return 0
-        updates = bin(line.crossing & word_mask).count("1")
-        return self.synonym.charge_write_updates(updates)
+        return self.synonym.on_evict(self.llc, victim)
 
     # -- conformance ---------------------------------------------------------
     def check_invariants(self):
         """Structural-consistency violations, as strings (empty = clean).
 
-        Audited by the fuzz harness after every simulated statement:
-
-        * all dirty LLC victims have been drained to memory;
-        * the per-orientation residency counts (``_counts``) match the
-          actual LLC contents — these gate crossing checks, so a drift
-          would silently skip synonym resolution;
-        * crossing bits are symmetric and live: a set bit always names a
-          resident opposite-orientation line whose mirrored bit is set,
-          i.e. every synonym pair the directory tracks maps to one datum.
+        Audited by the fuzz harness after every simulated statement: all
+        dirty LLC victims have been drained to memory, and the resolver's
+        :meth:`~repro.cache.synonym.SynonymDirectory.problems` audit of
+        residency counts and crossing bits comes back clean.
         """
         problems = []
         if self.pending_writebacks:
@@ -258,38 +193,8 @@ class CacheHierarchy:
                 f"{len(self.pending_writebacks)} dirty LLC victims never "
                 "drained to memory"
             )
-        if self.synonym is None:
-            return problems
-        counts = [0, 0, 0]
-        for line in self.llc.resident_lines():
-            tag = line.key >> SPACE_SHIFT
-            if tag != _GATHER_TAG:
-                counts[tag] += 1
-        for tag, name in ((0, "row"), (1, "column")):
-            if counts[tag] != self._counts[tag]:
-                problems.append(
-                    f"LLC {name}-orientation count drifted: tracked "
-                    f"{self._counts[tag]}, resident {counts[tag]}"
-                )
-        for line in self.llc.resident_lines():
-            if not line.crossing or (line.key >> SPACE_SHIFT) == _GATHER_TAG:
-                continue
-            for cross_key, word_self, word_other in self.synonym.crossing_keys(
-                line.key
-            ):
-                if not line.has_crossing(word_self):
-                    continue
-                other = self.llc.probe(cross_key)
-                if other is None:
-                    problems.append(
-                        f"crossing bit {word_self} of line {line.key:#x} "
-                        "names an absent synonym line"
-                    )
-                elif not other.has_crossing(word_other):
-                    problems.append(
-                        f"asymmetric crossing bits between {line.key:#x} "
-                        f"and {cross_key:#x}"
-                    )
+        if self.synonym is not None:
+            problems += self.synonym.problems(self.llc)
         return problems
 
     # -- statistics ----------------------------------------------------------

@@ -10,8 +10,8 @@ Each RC-NVM line additionally carries eight **crossing bits**, one per
 orientation (Section 4.3.2).
 """
 
-from repro.core.addressing import Orientation
 from repro.geometry import CACHE_LINE_BYTES, WORDS_PER_LINE
+from repro.orientation import ORIENTATIONS
 
 #: Bit position where the orientation tag is packed into a line key.  Flat
 #: byte addresses are at most ~48 bits, so line indices fit in 42 bits.
@@ -28,15 +28,9 @@ def line_key_from_index(line_index, orientation):
     return (int(orientation) << SPACE_SHIFT) | line_index
 
 
-#: Orientation members by tag value — ``Orientation(tag)`` walks the enum
-#: metaclass's ``__call__`` on every line-key decode, which shows up in the
-#: replay hot loop; a tuple index returns the identical members.
-_SPACE_ORIENTATIONS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
-
-
 def key_orientation(key):
     """The address space a line key belongs to."""
-    return _SPACE_ORIENTATIONS[key >> SPACE_SHIFT]
+    return ORIENTATIONS[key >> SPACE_SHIFT]
 
 
 def key_line_index(key):

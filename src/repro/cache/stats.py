@@ -42,12 +42,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    @property
-    def miss_rate(self):
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
     def snapshot(self):
         data = dict(vars(self))
         data["accesses"] = self.accesses

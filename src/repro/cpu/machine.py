@@ -44,8 +44,7 @@ from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 from repro.obs import tracer as obs
-
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
+from repro.orientation import ORIENTATIONS
 
 
 @dataclass
@@ -322,7 +321,7 @@ class Machine:
                 channel = dch[i]
                 req = MemRequest(
                     channel, drk[i], dbk[i], dsa[i], drow[i], dcol[i],
-                    _ORIENT_OBJS[lorients[i]], False, now + llc_latency,
+                    ORIENTATIONS[lorients[i]], False, now + llc_latency,
                     stream,
                 )
                 controllers[channel].submit(req)
@@ -381,7 +380,7 @@ class Machine:
                 channel = dch[i]
                 req = MemRequest(
                     channel, drk[i], dbk[i], dsa[i], drow[i], dcol[i],
-                    _ORIENT_OBJS[lorients[i]], is_write, now + llc_latency,
+                    ORIENTATIONS[lorients[i]], is_write, now + llc_latency,
                     stream,
                 )
                 controllers[channel].submit(req)
@@ -451,7 +450,7 @@ class Machine:
             zip(*(column.tolist() for column in fields), orients.tolist()), 1
         ):
             memory.controllers[channel].submit(MemRequest(
-                channel, rank, bank, sub, row, col, _ORIENT_OBJS[orient], True, now
+                channel, rank, bank, sub, row, col, ORIENTATIONS[orient], True, now
             ))
             if on_line is not None:
                 on_line(flushed)

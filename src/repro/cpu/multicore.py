@@ -25,8 +25,8 @@ from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, TraceBuffer
 from repro.geometry import CACHE_LINE_BYTES
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
+from repro.orientation import ORIENTATIONS
 
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
 _OP_WRITE = int(Op.WRITE)
 _OP_CWRITE = int(Op.CWRITE)
 _OP_GATHER = int(Op.GATHER)
@@ -388,7 +388,7 @@ class MulticoreMachine:
                     req = MemRequest(
                         channel, cursor.drk[k], cursor.dbk[k], cursor.dsa[k],
                         cursor.drow[k], cursor.dcol[k],
-                        _ORIENT_OBJS[cursor.lorients[k]], is_write, arrival,
+                        ORIENTATIONS[cursor.lorients[k]], is_write, arrival,
                         cursor.stream,
                     )
                     self.memory.controllers[channel].submit(req)

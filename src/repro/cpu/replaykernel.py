@@ -147,7 +147,8 @@ def kernel_eligible(machine, fin, stream=None):
     hierarchy = machine.hierarchy
     if len(hierarchy.levels) != 3:
         return False
-    if hierarchy.pending_writebacks or hierarchy._counts != [0, 0, 0]:
+    synonym = hierarchy.synonym
+    if hierarchy.pending_writebacks or (synonym is not None and any(synonym.resident)):
         return False
     shape_ok = fin._kernel_cache.get("shape")
     if shape_ok is None:
@@ -168,7 +169,7 @@ def kernel_eligible(machine, fin, stream=None):
         fin._kernel_cache["shape"] = shape_ok
     if not shape_ok:
         return False
-    if hierarchy.synonym is not None and not fin._kernel_cache["uniform_orient"]:
+    if synonym is not None and not fin._kernel_cache["uniform_orient"]:
         return False  # mixed orientations would arm crossing checks
     llc = hierarchy.llc
     fits_key = ("llc_fits", llc._set_mask, llc.ways)
@@ -591,8 +592,10 @@ def run_kernel(machine, fin):
     for k in l3_touched:
         l3_sets[k & m3].move_to_end(k)
     if hierarchy.synonym is not None:
-        # Single orientation (eligibility): every LLC fill bumped one tag.
-        hierarchy._counts[int(keys_l[0] >> SPACE_SHIFT)] = n_unique
+        # Single orientation (eligibility): every LLC fill bumped one tag
+        # of the resolver's counts and did nothing else (no eviction, no
+        # crossing bit), so one bulk write stands in for its on_fill calls.
+        hierarchy.synonym.resident[int(keys_l[0] >> SPACE_SHIFT)] = n_unique
 
     # -- result ---------------------------------------------------------------
     result = RunResult()

@@ -25,6 +25,7 @@ from repro.core.addressing import Orientation
 from repro.cpu.trace import _ORIENTATION_OF, Access, Op
 from repro.errors import CapabilityError
 from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
+from repro.orientation import ORIENTATIONS
 
 FLAG_BARRIER = 1
 FLAG_PIN = 2
@@ -41,7 +42,6 @@ _WORD_SHIFT = WORD_BYTES.bit_length() - 1  # 3
 _SPACE_SHIFT = 58  # must match repro.cache.line.SPACE_SHIFT
 
 _IS_WRITE_OP = (False, True, False, True, False, False)  # indexed by Op
-_ORIENT_OBJS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)
 
 #: Default orientation per op, as small ints (mirror of _ORIENTATION_OF).
 _DEFAULT_ORIENT = tuple(int(_ORIENTATION_OF[Op(code)]) for code in range(len(Op)))
@@ -203,13 +203,13 @@ class TraceBuffer:
             size = int(self._size[index])
             gap = int(self._gap[index])
             flags = int(self._flags[index])
-            orient = _ORIENT_OBJS[self._orient[index]]
+            orient = ORIENTATIONS[self._orient[index]]
         else:
             op_code, address, size, gap, flags, orient_code = self._pending[
                 index - self._n
             ]
             op = Op(op_code)
-            orient = _ORIENT_OBJS[orient_code]
+            orient = ORIENTATIONS[orient_code]
         return Access(
             op,
             address,

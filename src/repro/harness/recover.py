@@ -200,12 +200,6 @@ def check(result):
     return problems
 
 
-def run_recover(wal_rows=None, sites=CRASH_SITES):
-    """The crash-site sweep; returns ``(FigureResult, all_ok)``."""
-    result = sweep_sites(wal_rows=wal_rows, sites=sites)
-    return figure(result), not check(result)
-
-
 def run_experiment(p):
     """The ``recover`` experiment; returns ``(result, table)``."""
     result = sweep_sites()

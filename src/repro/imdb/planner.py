@@ -70,14 +70,6 @@ class PlannedPredicate:
 
 
 @dataclass(frozen=True)
-class ScanSpec:
-    table: str
-    field: str
-    word: int
-    method: ScanMethod
-
-
-@dataclass(frozen=True)
 class FilterFetchPlan:
     """Scan predicates, then materialize an output (Q1-Q3, Q10, Q11)."""
 

@@ -87,9 +87,6 @@ class Bank:
         self.activations = 0
 
     # -- queries -----------------------------------------------------------
-    def is_open(self, kind, subarray, index):
-        return self.open_entry == (kind, subarray, index)
-
     def matches(self, req):
         return self.open_entry == req.want
 

@@ -255,12 +255,6 @@ class ChannelController:
         return last
 
     # -- scheduling ---------------------------------------------------------
-    def _bank_index(self, req):
-        return req.rank * self.geometry.banks + req.bank
-
-    def _bank_of(self, req):
-        return self.banks[self._bank_index(req)]
-
     def _candidate_queues(self):
         """Which queues the next pick may come from, honouring write drains.
 

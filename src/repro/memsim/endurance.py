@@ -91,10 +91,10 @@ def attach_wear_tracker(memory_system):
     """Attach a fresh tracker to every bank of a memory system; returns
     the tracker.  Only meaningful for NVM systems (DRAM does not wear).
 
-    The ``(rank, bank)`` split of the controller's flat bank index mirrors
-    :meth:`ChannelController._bank_index` (``rank * banks + bank``) and is
-    pinned against :meth:`PhysicalMemory.subarray_coord` by tests, so wear
-    lines and physical coordinates cannot silently diverge."""
+    A controller's flat bank index is ``rank * banks + bank``; the
+    ``(rank, bank)`` split below inverts it and is pinned against
+    :meth:`PhysicalMemory.subarray_coord` by tests, so wear lines and
+    physical coordinates cannot silently diverge."""
     tracker = WearTracker()
     for channel_index, controller in enumerate(memory_system.controllers):
         for flat, bank in enumerate(controller.banks):

@@ -261,12 +261,6 @@ class MemoryStats:
         return self.buffer_misses / self.accesses
 
     @property
-    def buffer_hit_rate(self):
-        if not self.accesses:
-            return 0.0
-        return self.buffer_hits / self.accesses
-
-    @property
     def average_latency(self):
         if not self.accesses:
             return 0.0

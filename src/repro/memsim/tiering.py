@@ -158,10 +158,6 @@ class HeatTracker:
     def heat_of(self, key):
         return self.heat.get(key, 0.0)
 
-    def pending_of(self, key):
-        """Raw accesses recorded since the last epoch boundary."""
-        return self._counts.get(key, 0)
-
 
 class TieringEngine:
     """Heat-driven promotion/demotion of chunk rectangles between tiers.

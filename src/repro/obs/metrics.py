@@ -41,10 +41,6 @@ class Sample:
     labels: Tuple[Tuple[str, str], ...]
     value: object
 
-    @property
-    def labels_dict(self):
-        return dict(self.labels)
-
 
 class _Instrument:
     __slots__ = ("name", "labels", "_value", "_source")

@@ -24,3 +24,9 @@ class Orientation(enum.IntEnum):
         if self is Orientation.COLUMN:
             return Orientation.ROW
         raise ValueError("gathered lines have no opposite orientation")
+
+
+#: The members by tag value.  ``Orientation(tag)`` walks the enum
+#: metaclass's ``__call__`` on every decode, which shows up in the replay
+#: hot loops; indexing this tuple returns the identical members.
+ORIENTATIONS = (Orientation.ROW, Orientation.COLUMN, Orientation.GATHER)

@@ -9,7 +9,10 @@ Hypothesis drives it and the flat directory with the same random
 operations on caches small enough that private evictions, LLC evictions,
 recalls, dirty writebacks and pin skips all happen, and every
 observable must agree after every call.  The reference's own state also
-pins the three invariants the flat form relies on.
+pins the three invariants the flat form relies on, and the flat
+directory's synonym resolver must pass its own audit.  The reference
+keeps its own copy of the synonym rules on purpose: it does not go
+through the resolver's ``on_fill``/``on_write``/``on_evict``.
 """
 
 from hypothesis import given, strategies as st
@@ -391,3 +394,5 @@ def test_flat_directory_matches_object_model(operations):
         }
         _check_reference_invariants(reference)
         flat.check_invariants(key)
+        # The resolver's residency counts and crossing bits on the shared LLC.
+        assert flat.synonym.problems(flat.llc) == []

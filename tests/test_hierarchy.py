@@ -26,6 +26,21 @@ def key(i, orientation=Orientation.ROW):
     return line_key(i * 64, orientation)
 
 
+MAPPER = AddressMapper(SMALL_RCNVM_GEOMETRY)
+#: Row lines of rows 8-15 at column blocks 16 and 24, and column lines of
+#: columns 16-23 at row blocks 8 and 16: the row lines at block 16 cross
+#: the column lines at block 8, and all 32 keys crowd three LLC sets.
+SYNONYM_KEYS = [
+    line_key(MAPPER.encode_row(Coordinate(0, 0, 0, 0, row, col)), Orientation.ROW)
+    for row in range(8, 16)
+    for col in (16, 24)
+] + [
+    line_key(MAPPER.encode_col(Coordinate(0, 0, 0, 0, row, col)), Orientation.COLUMN)
+    for col in range(16, 24)
+    for row in (8, 16)
+]
+
+
 class TestLookupAndFill:
     def test_cold_miss(self):
         hierarchy = small_hierarchy()
@@ -241,3 +256,66 @@ class TestSynonymIntegration:
         col_line = llc.probe(col)
         assert col_line is not None and col_line.crossing == 0
         assert synonym.stats.eviction_clears == 1
+
+
+class TestRandomSynonymOperations:
+    """Random traffic on a single-core RC-NVM hierarchy small enough
+    (L1 2x2, L2 4x2, L3 8x2 sets x ways) that crossed lines are filled,
+    written and evicted from the LLC all the time."""
+
+    OPERATIONS = st.lists(
+        st.tuples(
+            # "batched read" misses fill through fill_absent_read, as the
+            # batched replay loop does; the other reads and writes through
+            # fill, as the precise loop does.
+            st.sampled_from(
+                ("read", "batched read", "write", "write", "pin", "unpin", "flush")
+            ),
+            st.integers(0, len(SYNONYM_KEYS) - 1),
+            st.integers(1, 0xFF),  # word mask of a write
+        ),
+        min_size=30,
+        max_size=150,
+    )
+
+    @given(operations=OPERATIONS)
+    def test_audit_stays_clean_and_every_cycle_is_returned(self, operations):
+        synonym = SynonymDirectory(MAPPER)
+        hierarchy = CacheHierarchy(
+            [
+                Cache("L1", 4 * 64, 2, hit_latency=4),
+                Cache("L2", 8 * 64, 2, hit_latency=12),
+                Cache("L3", 16 * 64, 2, hit_latency=38),
+            ],
+            synonym=synonym,
+        )
+        stats = synonym.stats
+        returned = 0
+        for kind, index, word_mask in operations:
+            k = SYNONYM_KEYS[index]
+            if kind == "flush":
+                hierarchy.flush()
+            elif kind == "unpin":
+                hierarchy.unpin(k)
+            else:
+                is_write = kind == "write"
+                if not is_write:
+                    word_mask = 0xFF
+                level, extra = hierarchy.lookup(k, is_write, word_mask)
+                returned += extra
+                if level == MISS and kind == "batched read":
+                    returned += hierarchy.fill_absent_read(k)
+                elif level == MISS:
+                    pin = kind == "pin"
+                    returned += hierarchy.fill(k, is_write, pin, word_mask)
+                elif kind == "pin":
+                    hierarchy.pin(k)
+                hierarchy.drain_writebacks()
+            assert hierarchy.check_invariants() == []
+            assert returned == stats.overhead_cycles
+            assert stats.overhead_cycles == (
+                synonym.PROBE_BATCH_COST * stats.crossing_checks
+                + synonym.COPY_COST * stats.crossing_copies
+                + synonym.WRITE_UPDATE_COST * stats.write_updates
+                + synonym.CLEAR_COST * stats.eviction_clears
+            )

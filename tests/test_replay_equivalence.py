@@ -92,7 +92,8 @@ def _simulator_state(db):
     for level in hierarchy.levels:
         state.append(level.stats.snapshot())
         state.append([list(cache_set.keys()) for cache_set in level.sets])
-    state.append(list(hierarchy._counts))
+    if hierarchy.synonym is not None:
+        state.append(list(hierarchy.synonym.resident))
     for ctrl in db.memory.controllers:
         state.append(ctrl.stats.snapshot())
         state.append(ctrl.bus_free)

@@ -159,7 +159,7 @@ class TestEndState:
     @staticmethod
     def _state(db):
         hierarchy = db.machine.hierarchy
-        state = [list(hierarchy._counts)]
+        state = [hierarchy.synonym and list(hierarchy.synonym.resident)]
         for level in hierarchy.levels:
             state.append(level.stats.snapshot())
             state.append([list(s.keys()) for s in level.sets])
