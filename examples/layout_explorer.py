@@ -10,6 +10,7 @@ Run:  python examples/layout_explorer.py
 """
 
 from repro import Database, make_rcnvm
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.imdb.chunks import IntraLayout
 from repro.imdb.planner import ScanMethod
 from repro.workloads.datagen import generate_packed
@@ -29,7 +30,7 @@ def describe_table(table):
 
 
 def scan_cost(db, table, field, method):
-    trace = []
+    trace = TraceBuffer()
     db.executor.scan_field(trace, table, field, method)
     db.reset_timing()
     result = db.machine.run(trace)

@@ -12,6 +12,7 @@ Run:  python examples/multicore_olxp.py
 
 from repro import Database, make_rcnvm
 from repro.cpu.multicore import MulticoreMachine
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.imdb.planner import ScanMethod
 from repro.workloads.datagen import generate_packed
 
@@ -26,7 +27,7 @@ def build_table(db, n=8192, fields=8):
 
 def oltp_trace(db, table, start, stride, count):
     """Row reads + occasional field writes over scattered tuples."""
-    trace = []
+    trace = TraceBuffer()
     executor = db.executor
     for i in range(count):
         tuple_id = (start + i * stride) % table.n_tuples
@@ -39,7 +40,7 @@ def oltp_trace(db, table, start, stride, count):
 
 def olap_trace(db, table, field):
     """One full column scan of a field."""
-    trace = []
+    trace = TraceBuffer()
     db.executor.scan_field(trace, table, field, ScanMethod.COLUMN)
     return trace
 

@@ -26,21 +26,17 @@ import numpy as np
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
 from repro.cache.hierarchy import MISS, CacheHierarchy
-from repro.cache.line import (
-    SPACE_SHIFT, key_address, key_line_index, key_orientation, line_key_from_index,
-)
+from repro.cache.line import SPACE_SHIFT, key_address, key_line_index, key_orientation
 from repro.cpu.replaykernel import kernel_eligible, run_kernel
-from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import (
     LINE_BARRIER,
     LINE_GATHER,
     LINE_PIN,
     LINE_UNPIN,
     LINE_WRITE,
-    FinalizedTrace,
-    TraceBuffer,
+    as_finalized,
 )
-from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES
+from repro.geometry import CACHE_LINE_BYTES
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 from repro.obs import tracer as obs
@@ -100,18 +96,20 @@ class Machine:
     def run(self, trace, stream=None) -> RunResult:
         """Execute a trace.
 
-        A :class:`~repro.cpu.tracebuffer.TraceBuffer` (or an
-        already-finalized :class:`~repro.cpu.tracebuffer.FinalizedTrace`)
-        replays through the whole-trace kernel
+        ``trace`` is a :class:`~repro.cpu.tracebuffer.TraceBuffer`, an
+        already-finalized :class:`~repro.cpu.tracebuffer.FinalizedTrace`,
+        or any other iterable of :class:`~repro.cpu.trace.Access`, which
+        is copied into a buffer once
+        (:func:`~repro.cpu.tracebuffer.as_finalized`).  The finalized
+        trace replays through the whole-trace kernel
         (:mod:`repro.cpu.replaykernel`) when
         :func:`~repro.cpu.replaykernel.kernel_eligible` admits it, and
-        through the batched per-line loop otherwise; any other iterable
-        of :class:`~repro.cpu.trace.Access` takes the precise per-access
-        path, the reference the other two are tested against.  All paths
-        produce bit-for-bit identical :class:`RunResult`s and simulator
-        end state — the fast paths replay the same per-line decisions in
-        the same order, they just precompute everything that does not
-        depend on cache or controller state (see
+        through the batched per-line loop otherwise.  Both produce
+        bit-for-bit identical :class:`RunResult`s and simulator end
+        state, and both match the per-access reference in
+        ``tests/replay_oracle.py``: they replay the same per-line
+        decisions in the same order, and precompute everything that does
+        not depend on cache or controller state (see
         ``tests/test_replay_equivalence``).
 
         ``stream`` overrides the trace's tenant stream tag for this run
@@ -119,20 +117,15 @@ class Machine:
         must travel with the replay, not the trace).  ``None`` uses the
         trace's own tag; plain ``Access`` iterables default to 0.
         """
-        if stream is None:
-            stream = getattr(trace, "stream", 0)
         with obs.span("machine.run") as sp:
-            if isinstance(trace, (TraceBuffer, FinalizedTrace)):
-                fin = (
-                    trace.finalize() if isinstance(trace, TraceBuffer) else trace
-                )
-                fin.check_capabilities(self.memory)
-                if kernel_eligible(self, fin, stream):
-                    result = run_kernel(self, fin)
-                else:
-                    result = self._run_batched(fin, stream)
+            fin = as_finalized(trace)
+            if stream is None:
+                stream = fin.stream
+            fin.check_capabilities(self.memory)
+            if kernel_eligible(self, fin, stream):
+                result = run_kernel(self, fin)
             else:
-                result = self._run_precise(trace, stream)
+                result = self._run_batched(fin, stream)
             if sp.enabled:
                 mem = result.memory
                 sp.set(
@@ -151,82 +144,6 @@ class Machine:
                 )
             return result
 
-    def _run_precise(self, trace, stream=0) -> RunResult:
-        result = RunResult()
-        hierarchy = self.hierarchy
-        memory = self.memory
-        outstanding = deque()
-        now = 0
-
-        for access in trace:
-            now += access.gap
-            op = access.op
-            if op == Op.UNPIN:
-                self._unpin_range(access)
-                continue
-            if access.barrier and outstanding:
-                while outstanding:
-                    now = max(now, memory.completion_of(outstanding.popleft()))
-            result.accesses += 1
-            if access.is_write:
-                result.writes += 1
-            else:
-                result.reads += 1
-
-            orientation = access.orientation
-            first_line = access.address // CACHE_LINE_BYTES
-            last_line = (access.address + access.size - 1) // CACHE_LINE_BYTES
-            for line_index in range(first_line, last_line + 1):
-                key = line_key_from_index(line_index, orientation)
-                result.lines_touched += 1
-                word_mask = (
-                    line_word_mask(access, line_index) if access.is_write else 0xFF
-                )
-                level, extra = hierarchy.lookup(key, access.is_write, word_mask)
-                if extra:
-                    now += extra
-                    result.synonym_cycles += extra
-                if level != MISS:
-                    now += self._hit_costs[level]
-                    if level == 0:
-                        result.l1_hits += 1
-                    elif level == 1:
-                        result.l2_hits += 1
-                    else:
-                        result.l3_hits += 1
-                    if access.pin:
-                        hierarchy.pin(key)
-                    continue
-                # -- LLC miss: fetch the line from main memory.
-                result.llc_misses += 1
-                req = line_request(
-                    memory, key, access, now + self._llc_latency, stream
-                )
-                outstanding.append(req)
-                if len(outstanding) > self.window:
-                    now = max(now, memory.completion_of(outstanding.popleft()))
-                extra = hierarchy.fill(key, access.is_write, access.pin, word_mask)
-                if extra:
-                    now += extra
-                    result.synonym_cycles += extra
-                for victim_key in hierarchy.drain_writebacks():
-                    result.writebacks += 1
-                    post_writeback(memory, victim_key, now, stream)
-
-        while outstanding:
-            now = max(now, memory.completion_of(outstanding.popleft()))
-        result.cycles = now
-        # Retire posted writes so statistics are complete.
-        with obs.span("controller.drain") as dsp:
-            drained_at = memory.drain()
-            if dsp.enabled:
-                dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
-        result.memory = memory.stats.snapshot()
-        result.caches = hierarchy.stats_by_level()
-        if hierarchy.synonym is not None:
-            result.synonym = hierarchy.synonym.stats.snapshot()
-        return result
-
     def _run_batched(self, fin, stream=0) -> RunResult:
         """Replay a finalized structure-of-arrays trace (the fallback for
         traces the kernel cannot take; :meth:`run` has already checked
@@ -236,8 +153,9 @@ class Machine:
         splitting, key packing, write word masks, address decode — was
         done vectorized at :meth:`TraceBuffer.finalize` time, so this
         loop only advances the stateful parts (caches, controllers, the
-        core clock) and is careful to do so in exactly the order of
-        :meth:`_run_precise`:
+        core clock) and is careful to do so in exactly the order of the
+        per-access reference (``PreciseMachine`` in
+        ``tests/replay_oracle.py``):
 
         * plain read lines (no write/pin/barrier/gather/unpin bits) take
           an inlined L1 probe; a line whose key equals the immediately
@@ -246,11 +164,11 @@ class Machine:
         * L1 hit/miss statistics from the inlined probe are accumulated
           locally and flushed into ``l1.stats`` before the snapshot;
         * LLC misses build their :class:`MemRequest` directly from the
-          precomputed decode columns — the same values the precise
-          path's scalar ``mapper.decode`` produces;
+          precomputed decode columns — the same values a scalar
+          ``mapper.decode`` of the line produces;
         * everything else (writes, pins, barriers, gathers, unpins)
-          funnels through the same hierarchy calls the precise path
-          makes.
+          funnels through the same hierarchy calls the per-access
+          reference makes.
         """
         result = RunResult()
         hierarchy = self.hierarchy
@@ -458,29 +376,8 @@ class Machine:
         memory.flush_buffers()
         return len(keys)
 
-    def _unpin_range(self, access):
-        first_line = access.address // CACHE_LINE_BYTES
-        last_line = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        orientation = access.orientation
-        for line_index in range(first_line, last_line + 1):
-            self.hierarchy.unpin(line_key_from_index(line_index, orientation))
 
-
-# -- request helpers, shared with the multicore machine ---------------------------
-def line_request(memory, key, access, arrival, stream=0):
-    """Submit the memory request that fetches line ``key`` for ``access``."""
-    orientation = key_orientation(key)
-    if orientation is Orientation.GATHER:
-        if access.coord is None:
-            raise CapabilityError("gather access requires a device coordinate")
-        return memory.request_for_coord(
-            access.coord, orientation, access.is_write, arrival, stream=stream
-        )
-    return memory.request_for_line(
-        key_address(key), orientation, access.is_write, arrival, stream=stream
-    )
-
-
+# -- request helper, shared with the multicore machine ----------------------------
 def post_writeback(memory, key, now, stream=0):
     """Post a dirty-victim write to memory (the core does not block).
 
@@ -493,16 +390,3 @@ def post_writeback(memory, key, now, stream=0):
         key_address(key), orientation, True, now, stream=stream
     )
 
-
-def line_word_mask(access, line_index):
-    """Bitmask of the 8-byte words of line ``line_index`` covered by
-    ``access`` (used for crossing-bit write updates)."""
-    line_start = line_index * CACHE_LINE_BYTES
-    start = max(access.address, line_start)
-    end = min(access.address + access.size, line_start + CACHE_LINE_BYTES)
-    first_word = (start - line_start) // WORD_BYTES
-    last_word = (end - 1 - line_start) // WORD_BYTES
-    mask = 0
-    for word in range(first_word, last_word + 1):
-        mask |= 1 << word
-    return mask

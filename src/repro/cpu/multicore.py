@@ -15,14 +15,12 @@ from typing import List
 
 from repro.cache.cache import Cache
 from repro.cache.coherence import MesiDirectory
-from repro.cache.line import line_key_from_index
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Orientation
 from repro.errors import CapabilityError
-from repro.cpu.machine import line_request, line_word_mask, post_writeback
+from repro.cpu.machine import post_writeback
 from repro.cpu.trace import Op
-from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, TraceBuffer
-from repro.geometry import CACHE_LINE_BYTES
+from repro.cpu.tracebuffer import FLAG_BARRIER, FLAG_PIN, as_finalized
 from repro.memsim.request import MemRequest
 from repro.memsim.system import MemorySystem
 from repro.orientation import ORIENTATIONS
@@ -79,8 +77,9 @@ class MulticoreResult:
     coherence: dict = field(default_factory=dict)
     synonym: dict = field(default_factory=dict)
     memory: dict = field(default_factory=dict)
-    #: ``token -> finish clock`` for :meth:`MulticoreMachine.run_segmented`
-    #: (empty for plain :meth:`MulticoreMachine.run`).
+    #: ``token -> finish clock`` of every segment
+    #: :meth:`MulticoreMachine.run_segmented` ran; for
+    #: :meth:`MulticoreMachine.run` that is ``core -> finish clock``.
     segment_ends: dict = field(default_factory=dict)
 
     @property
@@ -121,11 +120,11 @@ class MulticoreMachine:
     def run(self, traces, streams=None) -> MulticoreResult:
         """Run one trace per core to completion.
 
-        Cores whose trace is a :class:`TraceBuffer` step over the
-        finalized per-line arrays (same decisions, precomputed line
-        keys/masks/decodes); any other iterable of ``Access`` objects
-        keeps the precise per-access path.  The heap interleaving is per
-        access either way, so mixing the two kinds is fine.
+        This is :meth:`run_segmented` with one segment per core, whose
+        token is the core index.  Each trace is anything
+        :func:`~repro.cpu.tracebuffer.as_finalized` takes: a
+        :class:`~repro.cpu.tracebuffer.TraceBuffer`, a finalized trace,
+        or an iterable of ``Access`` objects, copied into a buffer once.
 
         ``streams`` optionally gives one tenant stream tag per trace
         (overriding each trace's own tag) so the controllers' fair-share
@@ -137,55 +136,10 @@ class MulticoreMachine:
             streams = [getattr(trace, "stream", 0) for trace in traces]
         elif len(streams) != len(traces):
             raise ValueError("streams must parallel traces")
-        memory = self.memory
-        cursors = []
-        iterators = []
-        for trace, stream in zip(traces, streams):
-            if isinstance(trace, TraceBuffer):
-                fin = trace.finalize()
-                fin.check_capabilities(memory)
-                cursors.append(_SoaCursor(fin, memory.mapper, stream))
-                iterators.append(None)
-            else:
-                cursors.append(None)
-                iterators.append(iter(trace))
-        clocks = [0] * len(traces)
-        outstanding = [deque() for _ in traces]
-        results = [CoreResult() for _ in traces]
-        # Min-heap of (clock, core) — always step the core furthest behind.
-        active = [(0, core) for core in range(len(traces))]
-        heapq.heapify(active)
-        while active:
-            core = active[0][1]
-            cursor = cursors[core]
-            if cursor is None:
-                access = next(iterators[core], None)
-                stepped = access is not None
-                if stepped:
-                    self._step(
-                        core, access, clocks, outstanding, results, streams[core]
-                    )
-            else:
-                position = cursor.pos
-                stepped = position < cursor.n
-                if stepped:
-                    cursor.pos = position + 1
-                    self._step_soa(
-                        core, cursor, position, clocks, outstanding, results
-                    )
-            if stepped:
-                heapq.heapreplace(active, (clocks[core], core))
-                continue
-            self._drain(core, clocks, outstanding[core])
-            results[core].cycles = clocks[core]
-            heapq.heappop(active)
-        result = MulticoreResult(cores=results)
-        self.memory.drain()
-        result.coherence = self.directory.stats.snapshot()
-        if self.directory.synonym is not None:
-            result.synonym = self.directory.synonym.stats.snapshot()
-        result.memory = self.memory.stats.snapshot()
-        return result
+        return self.run_segmented([
+            [(trace, stream, core)]
+            for core, (trace, stream) in enumerate(zip(traces, streams))
+        ])
 
     def run_segmented(self, core_segments, on_segment=None,
                       base_clocks=0) -> MulticoreResult:
@@ -193,11 +147,11 @@ class MulticoreMachine:
         segment's finish clock.
 
         ``core_segments`` is one list per core of ``(trace, stream,
-        token)`` tuples — ``trace`` a :class:`TraceBuffer` or
-        :class:`~repro.cpu.tracebuffer.FinalizedTrace`, ``stream`` the
+        token)`` tuples — ``trace`` anything
+        :func:`~repro.cpu.tracebuffer.as_finalized` takes, ``stream`` the
         tenant tag its requests carry, ``token`` an opaque caller
         identifier.  Cores step their current segment interleaved at
-        access granularity exactly like :meth:`run`; when a core's
+        access granularity, always the core furthest behind; when a core's
         segment is exhausted its outstanding misses are drained, the
         finish clock is recorded under ``token`` in the result's
         ``segment_ends`` (and passed to ``on_segment(core, token,
@@ -239,10 +193,7 @@ class MulticoreMachine:
         def load_next(core):
             while queues[core]:
                 trace, stream, token = queues[core].pop()
-                fin = (
-                    trace.finalize()
-                    if isinstance(trace, TraceBuffer) else trace
-                )
+                fin = as_finalized(trace)
                 fin.check_capabilities(memory)
                 cursor = _SoaCursor(fin, memory.mapper, stream)
                 tokens[core] = token
@@ -280,58 +231,10 @@ class MulticoreMachine:
         return result
 
     # -- one trace entry ----------------------------------------------------------
-    def _step(self, core, access, clocks, outstanding, results, stream=0):
-        clocks[core] += access.gap
-        op = access.op
-        llc = self.directory.llc
-        if op == Op.UNPIN:
-            first = access.address // CACHE_LINE_BYTES
-            last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-            for index in range(first, last + 1):
-                llc.set_pinned(line_key_from_index(index, access.orientation), False)
-            return
-        if access.barrier:
-            self._drain(core, clocks, outstanding[core])
-        result = results[core]
-        result.accesses += 1
-        orientation = access.orientation
-        first = access.address // CACHE_LINE_BYTES
-        last = (access.address + access.size - 1) // CACHE_LINE_BYTES
-        for index in range(first, last + 1):
-            key = line_key_from_index(index, orientation)
-            if access.is_write:
-                hit, llc_hit, extra, writebacks = self.directory.write(
-                    core, key, line_word_mask(access, index)
-                )
-            else:
-                hit, llc_hit, extra, writebacks = self.directory.read(core, key)
-            clocks[core] += extra
-            result.coherence_cycles += extra
-            for victim_key in writebacks:
-                post_writeback(self.memory, victim_key, clocks[core], stream)
-            if hit:
-                result.private_hits += 1
-            elif llc_hit:
-                result.llc_hits += 1
-                clocks[core] += self.llc_latency
-            else:
-                result.misses += 1
-                req = line_request(
-                    self.memory, key, access, clocks[core] + self.llc_latency,
-                    stream,
-                )
-                outstanding[core].append(req)
-                if len(outstanding[core]) > self.window:
-                    clocks[core] = max(
-                        clocks[core],
-                        self.memory.completion_of(outstanding[core].popleft()),
-                    )
-            if access.pin:
-                llc.set_pinned(key, True)
-
     def _step_soa(self, core, cursor, position, clocks, outstanding, results):
-        """One finalized-trace access for one core — the array twin of
-        :meth:`_step`, making the same calls in the same order."""
+        """One finalized-trace access for one core: the same calls in the
+        same order as the per-access ``_step`` of
+        ``PreciseMulticoreMachine`` in ``tests/replay_oracle.py``."""
         clocks[core] += cursor.gaps[position]
         op = cursor.ops[position]
         start = cursor.starts[position]

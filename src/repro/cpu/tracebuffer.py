@@ -11,8 +11,9 @@ and the per-line word masks for writes (see :meth:`TraceBuffer.finalize`).
 
 ``TraceBuffer`` is a drop-in replacement for ``List[Access]`` on the
 producing side (``append`` accepts ``Access`` objects, iteration yields
-them back), while :meth:`repro.cpu.machine.Machine.run` recognizes the
-type and takes its batched fast path over the finalized arrays.
+them back).  The machine models replay only the finalized arrays:
+:func:`as_finalized` is their one entry, and copies any other iterable
+of ``Access`` objects into a buffer first.
 
 Flag bits, op codes and orientations are stored as small unsigned
 integers; gather coordinates (sparse — only GS-DRAM traces have them)
@@ -380,9 +381,10 @@ class FinalizedTrace:
         """Raise :class:`CapabilityError` when ``memory`` cannot serve this
         trace's column or gather lines.
 
-        The precise path raises on the first such line to miss; on the
-        fresh caches of a replay it always misses (its fill sits behind
-        the request), so checking the whole trace up front is equivalent.
+        A per-line check would raise on the first such line to miss; on
+        the fresh caches of a replay it always misses (its fill sits
+        behind the request), so checking the whole trace up front is
+        equivalent.
         """
         if self.has_column and not memory.supports_column:
             raise CapabilityError(f"{memory.name} does not support column accesses")
@@ -422,10 +424,10 @@ class FinalizedTrace:
         """Per-line device coordinates under ``mapper``'s geometry, as
         NumPy arrays: ``(channel, rank, bank, subarray, row, col)``.
 
-        This is the batched counterpart of the scalar
-        ``AddressMapper.decode`` call the precise path performs per LLC
-        miss; gather and unpin lines never issue decoded requests, so
-        their (synthetic) addresses are masked out.  Cached per mapper —
+        This is the batched counterpart of a scalar
+        ``AddressMapper.decode`` call per LLC miss; gather and unpin
+        lines never issue decoded requests, so their (synthetic)
+        addresses are masked out.  Cached per mapper —
         replaying the same finalized trace against the same memory
         system never re-decodes (a regression test pins the call count).
         """
@@ -446,3 +448,19 @@ class FinalizedTrace:
             cached = tuple(column.tolist() for column in fields)
             self._decode_cache[mapper] = cached
         return cached
+
+
+def as_finalized(trace):
+    """The :class:`FinalizedTrace` the replay engines run on ``trace``.
+
+    A :class:`FinalizedTrace` is returned as is and a :class:`TraceBuffer`
+    is finalized (cached on the buffer); any other iterable of
+    :class:`~repro.cpu.trace.Access` is copied into a new buffer once,
+    which is then finalized."""
+    if isinstance(trace, FinalizedTrace):
+        return trace
+    if not isinstance(trace, TraceBuffer):
+        buffer = TraceBuffer()
+        buffer.extend(trace)
+        trace = buffer
+    return trace.finalize()

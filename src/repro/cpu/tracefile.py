@@ -119,7 +119,10 @@ def save_trace(path, trace):
 
 
 def load_trace(path):
-    """Yield the accesses stored in ``path`` (lazily)."""
+    """Yield the accesses stored in ``path`` (lazily).
+
+    The machine models replay the stream as it is: ``Machine.run`` copies
+    it into a :class:`~repro.cpu.tracebuffer.TraceBuffer` once."""
     with open(path) as handle:
         first = handle.readline().rstrip("\n")
         if first != MAGIC:
@@ -132,17 +135,3 @@ def load_trace(path):
                 continue
             yield parse_line(line)
 
-
-def load_trace_buffer(path):
-    """Load ``path`` into a :class:`~repro.cpu.tracebuffer.TraceBuffer`.
-
-    Replaying a loaded trace through the machine models is much faster
-    this way: the buffer is the columnar format their batched fast path
-    consumes (line splitting and key packing happen vectorized at
-    finalize time instead of per access)."""
-    from repro.cpu.tracebuffer import TraceBuffer
-
-    buffer = TraceBuffer()
-    for access in load_trace(path):
-        buffer.append(access)
-    return buffer

@@ -14,7 +14,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.addressing import Coordinate, Orientation
-from repro.core import isa
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import LayoutError, SqlError
@@ -33,12 +32,6 @@ from repro.imdb.planner import (
     WideAggregatePlan,
     _compare,
 )
-
-#: Access constructor per op, for traces that are plain ``Access`` lists.
-_ISA_OF = {
-    Op.READ: isa.load, Op.WRITE: isa.store, Op.CREAD: isa.cload, Op.CWRITE: isa.cstore,
-}
-
 
 @dataclass
 class QueryResult:
@@ -72,10 +65,10 @@ class Executor:
     def execute(self, plan, stream=0):
         """Run ``plan``; returns ``(QueryResult, trace)``.
 
-        The trace is a :class:`~repro.cpu.tracebuffer.TraceBuffer` — a
-        columnar drop-in for ``List[Access]`` that the machine models
-        replay through their batched fast path.  ``stream`` stamps the
-        produced trace with the issuing tenant's stream tag."""
+        The trace is a :class:`~repro.cpu.tracebuffer.TraceBuffer`, the
+        columnar trace the machine models replay; every emitter below
+        appends to one.  ``stream`` stamps the produced trace with the
+        issuing tenant's stream tag."""
         trace = TraceBuffer()
         trace.stream = stream
         with obs.span(f"operator:{type(plan).__name__}") as sp:
@@ -120,22 +113,11 @@ class Executor:
         size = run.count * WORD_BYTES
         if gap is None:
             gap = max(1, run.count // WORDS_PER_LINE)
-        if isinstance(trace, TraceBuffer):
-            if orientation is Orientation.COLUMN:
-                op = Op.CWRITE if write else Op.CREAD
-            else:
-                op = Op.WRITE if write else Op.READ
-            trace.emit(int(op), address, size, gap, pin=pin and not write)
-        elif orientation is Orientation.COLUMN:
-            trace.append(
-                isa.cstore(address, size, gap) if write
-                else isa.cload(address, size, gap, pin=pin)
-            )
+        if orientation is Orientation.COLUMN:
+            op = Op.CWRITE if write else Op.CREAD
         else:
-            trace.append(
-                isa.store(address, size, gap) if write
-                else isa.load(address, size, gap, pin=pin)
-            )
+            op = Op.WRITE if write else Op.READ
+        trace.emit(int(op), address, size, gap, pin=pin and not write)
         return address, size, orientation
 
     def _read_run_values(self, run):
@@ -193,26 +175,13 @@ class Executor:
             lines = addresses // CACHE_LINE_BYTES
             new_line = np.diff(lines, prepend=last_line) != 0
             last_line = int(lines[-1])
-            self._emit_block(trace, Op.READ, addresses[new_line], WORD_BYTES)
-
-    @staticmethod
-    def _emit_block(trace, op, addresses, sizes):
-        """Append same-``op`` accesses (gap 1) at ``addresses``: one
-        ``extend_bulk`` on a TraceBuffer, one ``Access`` each on a list."""
-        if isinstance(trace, TraceBuffer):
-            trace.extend_bulk(op, addresses, sizes, 1)
-            return
-        make = _ISA_OF[op]
-        sizes = np.broadcast_to(sizes, addresses.shape)
-        for address, size in zip(addresses.tolist(), sizes.tolist()):
-            trace.append(make(address, size, 1))
+            trace.extend_bulk(Op.READ, addresses[new_line], WORD_BYTES, 1)
 
     def _emit_gather_scan(self, trace, table, field_name, word):
         """GS-DRAM gathered scan: one burst collects the field word of 8
         consecutive tuples sharing a DRAM row (power-of-two stride)."""
         offset = table.field_offset(field_name, word)
         base = self._gather_base(table.name, offset)
-        buffered = isinstance(trace, TraceBuffer)
         gather_index = 0
         for chunk in table.chunks:
             if chunk.layout is not IntraLayout.ROW or chunk.placement.rotated:
@@ -231,23 +200,17 @@ class Executor:
                     channel, rank, bank, sa = self._sub_coord(sub)
                     coord = Coordinate(channel, rank, bank, sa, device_row, device_col)
                     gather_address = base + gather_index * CACHE_LINE_BYTES
-                    if buffered:
-                        trace.emit(
-                            int(Op.GATHER), gather_address, CACHE_LINE_BYTES, 1,
-                            coord=coord,
-                        )
-                    else:
-                        trace.append(isa.gather_load(gather_address, coord))
+                    trace.emit(
+                        int(Op.GATHER), gather_address, CACHE_LINE_BYTES, 1,
+                        coord=coord,
+                    )
                     gather_index += 1
                 for extra in range(rest):
                     local = first_local + full_groups * 8 + extra
                     row, col = chunk.local_cell(local, offset)
                     sub, device_row, device_col = chunk.device_cell(row, col)
                     address = self._cell_row_address(sub, device_row, device_col)
-                    if buffered:
-                        trace.emit(int(Op.READ), address, WORD_BYTES, 1)
-                    else:
-                        trace.append(isa.load(address, WORD_BYTES, gap=1))
+                    trace.emit(int(Op.READ), address, WORD_BYTES, 1)
 
     def _gather_base(self, table_name, offset):
         key = (table_name, offset)
@@ -422,7 +385,7 @@ class Executor:
                     *self._sub_coord(sub), device_rows, device_cols, orientation
                 )
                 counts = np.minimum(WORDS_PER_LINE, chunk.height - line_rows)
-                self._emit_block(trace, op, addresses, counts * WORD_BYTES)
+                trace.extend_bulk(op, addresses, counts * WORD_BYTES, 1)
 
     def _rows_from_functional(self, table, mask, fields):
         ids = np.nonzero(mask)[0]
@@ -693,13 +656,9 @@ class Executor:
                     piece = _slice_run(run, start + line_start, 1)
                     self.emit_run(trace, piece, gap=1)
             for address, size, orientation in pinned:
-                if isinstance(trace, TraceBuffer):
-                    trace.emit(
-                        int(Op.UNPIN), address, size, gap=0,
-                        orientation=int(orientation),
-                    )
-                else:
-                    trace.append(isa.unpin(address, size, orientation))
+                trace.emit(
+                    int(Op.UNPIN), address, size, gap=0, orientation=int(orientation)
+                )
 
     def _emit_interleaved(self, trace, runs, count):
         """The naive ordered read: line-by-line across the columns."""

@@ -36,6 +36,11 @@ class TestExamples:
         assert "subarrays used" in result.stdout
         assert "column" in result.stdout
 
+    def test_multicore_olxp(self):
+        result = run_example("multicore_olxp.py")
+        assert result.returncode == 0, result.stderr
+        assert "makespan:" in result.stdout
+
     def test_group_caching_demo(self):
         result = run_example("group_caching_demo.py")
         assert result.returncode == 0, result.stderr
@@ -47,7 +52,6 @@ class TestExamples:
         [
             "quickstart.py",
             "olxp_workload.py",
-            "multicore_olxp.py",
             "reliability_and_indexes.py",
             "plan_explorer.py",
         ],

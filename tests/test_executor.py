@@ -11,7 +11,6 @@ from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
-from repro.imdb.planner import ScanMethod
 from repro.imdb.sql_parser import parse
 
 QUERIES = [
@@ -212,13 +211,6 @@ def assert_same_columns(got, expected):
     assert len(got) == len(expected)
 
 
-def _access_tuples(accesses):
-    return [
-        (a.op, a.address, a.size, a.gap, a.barrier, a.pin, a.coord, a.orientation)
-        for a in accesses
-    ]
-
-
 def _loaded(system, layout, fields, n, loads=1):
     db = make_database(system, verify=False)
     db.create_table("t", [(f"f{i}", 8) for i in range(1, fields + 1)], layout=layout)
@@ -310,15 +302,3 @@ class TestVectorizedEmitters:
         db.executor._emit_selective_column_fetch(trace, table, [], None)
         assert len(trace) == 0
         assert_same_columns(trace, reference_column_fetch(db, table, [], None))
-
-    @pytest.mark.parametrize("layout", ["row", "column"])
-    def test_list_traces_match_buffer_traces(self, layout):
-        db, table = _loaded("RC-NVM", layout, fields=4, n=500)
-        listed, buffered = [], TraceBuffer()
-        for trace in (listed, buffered):
-            db.executor.scan_field(trace, table, "f2", ScanMethod.ROW)
-            db.executor._emit_selective_column_fetch(
-                trace, table, np.arange(0, 500, 7), ["f1", "f3"], write=True
-            )
-        assert listed
-        assert _access_tuples(listed) == _access_tuples(buffered.to_accesses())

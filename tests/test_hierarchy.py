@@ -266,8 +266,8 @@ class TestRandomSynonymOperations:
     OPERATIONS = st.lists(
         st.tuples(
             # "batched read" misses fill through fill_absent_read, as the
-            # batched replay loop does; the other reads and writes through
-            # fill, as the precise loop does.
+            # batched replay loop does for plain reads; the other reads and
+            # writes through fill, as it does for every other line.
             st.sampled_from(
                 ("read", "batched read", "write", "write", "pin", "unpin", "flush")
             ),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_database, simple_rows
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import LayoutError, SqlError
 from repro.imdb.index import HashIndex
 
@@ -56,7 +57,7 @@ class TestProbing:
     def test_probe_emits_traced_accesses(self):
         db = indexed_db()
         index = db.table("t").indexes["k"]
-        trace = []
+        trace = TraceBuffer()
         index.probe(7, trace=trace, executor=db.executor)
         assert trace  # at least one slot read
         assert all(not a.is_write for a in trace)

@@ -212,8 +212,7 @@ def _run_segmented(memory, trace):
 @pytest.mark.parametrize("replay", [_machine_run, _multicore_run, _run_segmented])
 def test_unsupported_buffer_raises_through_every_entry_point(case, replay):
     """A buffer the memory cannot serve is refused up front, the same way
-    by every replay entry point (the batched paths never reach the
-    precise path's per-line check)."""
+    by every replay entry point, before any line is replayed."""
     memory, access, kind = case()
     trace = TraceBuffer()
     trace.append(access)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from replay_oracle import PreciseMachine, PreciseMulticoreMachine
 from repro.cache.hierarchy import make_hierarchy
 from repro.cache.line import line_key
 from repro.core import isa
@@ -124,18 +125,28 @@ class TestPinning:
     TRACE = (Access(Op.CREAD, 320), Access(Op.CREAD, 320, pin=True))
     KEY = line_key(320, Orientation.COLUMN)
 
-    @pytest.mark.parametrize("as_buffer", [False, True], ids=["list", "buffer"])
-    def test_pinned_private_hit_pins_the_llc_line(self, as_buffer):
+    @pytest.mark.parametrize(
+        "as_buffer, single_class, multi_class",
+        [
+            (False, PreciseMachine, PreciseMulticoreMachine),
+            (True, Machine, MulticoreMachine),
+        ],
+        ids=["list", "buffer"],
+    )
+    def test_pinned_private_hit_pins_the_llc_line(
+        self, as_buffer, single_class, multi_class
+    ):
         """The second access hits the private cache; like the single-core
-        machine at every hit level, it still pins the line in the LLC."""
+        machine at every hit level, it still pins the line in the LLC.
+        An access list runs on the per-access reference engines."""
         trace = list(self.TRACE)
         if as_buffer:
             trace = TraceBuffer()
             trace.extend(self.TRACE)
-        single = Machine(make_rcnvm(SMALL_RCNVM_GEOMETRY), make_hierarchy())
+        single = single_class(make_rcnvm(SMALL_RCNVM_GEOMETRY), make_hierarchy())
         single.run(trace)
         assert single.hierarchy.llc.probe(self.KEY).pinned
-        multi = MulticoreMachine(make_rcnvm(SMALL_RCNVM_GEOMETRY), n_cores=1)
+        multi = multi_class(make_rcnvm(SMALL_RCNVM_GEOMETRY), n_cores=1)
         result = multi.run([trace])
         assert result.cores[0].private_hits == 1
         assert multi.directory.llc.probe(self.KEY).pinned

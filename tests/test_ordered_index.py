@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_database, simple_rows
+from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import SqlError
 from repro.imdb.planner import _compare
 
@@ -33,7 +34,7 @@ class TestProbing:
     def test_probe_emits_log_plus_range_accesses(self):
         db = indexed_db(n=800)
         index = db.table("t").ordered_indexes["k"]
-        trace = []
+        trace = TraceBuffer()
         ids = index.range_probe(">", 950, trace=trace, executor=db.executor)
         # Binary search ~log2(800) probes plus a compact range read.
         assert len(trace) <= 14 + len(ids) // 2 + 4

@@ -1,24 +1,34 @@
 """The equivalence oracle for the replay fast paths.
 
-``Machine.run`` takes either a ``List[Access]`` (the precise per-access
-path, the reference) or a :class:`~repro.cpu.tracebuffer.TraceBuffer`,
-which replays through the whole-trace kernel when it is eligible and
-through the batched structure-of-arrays loop otherwise.  Both fast
+``Machine.run`` replays a finalized
+:class:`~repro.cpu.tracebuffer.TraceBuffer` through the whole-trace
+kernel when it is eligible and through the batched structure-of-arrays
+loop otherwise; ``MulticoreMachine.run`` steps finalized traces one
+access per heap turn.  The per-access engines they replaced live in
+``replay_oracle`` as the reference (``PreciseMachine``,
+``PreciseMulticoreMachine``) and take ``List[Access]`` traces.  The fast
 paths are only performance optimizations: on the same trace they must
-produce *bit-for-bit* identical :class:`RunResult`\\ s — every counter,
-every cache/memory stats snapshot, every latency histogram bucket.
-These tests enforce that on the SQL benchmark suite (scale from
-``REPRO_BENCH_SCALE``, default 0.05) for every figure system, on the
-multicore OLXP mix, and on random multicore traces.
+produce *bit-for-bit* identical results — every counter, every
+cache/memory stats snapshot, every latency histogram bucket — and the
+same simulator end state.  These tests enforce that on the SQL benchmark
+suite (scale from ``REPRO_BENCH_SCALE``, default 0.05) for every figure
+system, on the multicore OLXP mix, and on random single-core and
+multicore traces.
 """
 
+import dataclasses
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
+from replay_oracle import PreciseMachine, PreciseMulticoreMachine
+from repro.cache.hierarchy import make_hierarchy
+from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Coordinate, Orientation
+from repro.cpu.machine import Machine
 from repro.cpu.multicore import MulticoreMachine
+from repro.cpu.replaykernel import kernel_eligible
 from repro.cpu.trace import Access, Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.geometry import SMALL_DRAM_GEOMETRY, SMALL_RCNVM_GEOMETRY
@@ -51,20 +61,22 @@ def test_batched_replay_is_bit_for_bit(system_name):
     for qid, buffer in _query_traces(db):
         accesses = list(buffer.to_accesses())
         db.reset_timing()
-        precise = db.machine.run(accesses)
+        precise = PreciseMachine(db.memory, db.hierarchy, window=db.window).run(
+            accesses
+        )
+        precise_state = _simulator_state(db.machine)
         db.reset_timing()
         batched = db.machine._run_batched(buffer.finalize())
         assert precise == batched, (system_name, qid)
+        assert precise_state == _simulator_state(db.machine), (system_name, qid)
 
 
 @pytest.mark.parametrize("system_name", SYSTEMS)
 def test_kernel_replay_is_bit_for_bit(system_name):
     """``Machine.run`` picks the kernel for every eligible buffer: for
     every suite query it must match the batched path (and thereby the
-    precise path) bit for bit — including the simulator end state it
-    leaves behind, which downstream reporting reads."""
-    from repro.cpu.replaykernel import kernel_eligible
-
+    per-access reference) bit for bit — including the simulator end
+    state it leaves behind, which downstream reporting reads."""
     memory = build_system(system_name)
     db = build_benchmark_database(memory, scale=SCALE)
     eligible = []
@@ -72,43 +84,58 @@ def test_kernel_replay_is_bit_for_bit(system_name):
         fin = buffer.finalize()
         db.reset_timing()
         batched = db.machine._run_batched(fin)
-        batched_state = _simulator_state(db)
+        batched_state = _simulator_state(db.machine)
         db.reset_timing()
         if kernel_eligible(db.machine, fin):
             eligible.append(qid)
         replayed = db.machine.run(buffer)
-        replayed_state = _simulator_state(db)
+        replayed_state = _simulator_state(db.machine)
         assert batched == replayed, (system_name, qid)
         assert batched_state == replayed_state, (system_name, qid)
     # Otherwise a gate that never fires would compare batched with batched.
     assert eligible, system_name
 
 
-def _simulator_state(db):
-    """Everything a replay leaves behind: cache contents in LRU order,
-    per-level stats, synonym counters, controller stats and bank state."""
-    hierarchy = db.machine.hierarchy
+def _simulator_state(machine):
+    """Everything a replay leaves behind: per-level stats, every level's
+    lines in LRU order with their dirty, pinned and crossing bits, the
+    synonym counts and stats, controller stats and every bank register."""
+    hierarchy = machine.hierarchy
     state = []
     for level in hierarchy.levels:
         state.append(level.stats.snapshot())
-        state.append([list(cache_set.keys()) for cache_set in level.sets])
+        state.append([
+            [(key, line.dirty, line.pinned, line.crossing)
+             for key, line in cache_set.items()]
+            for cache_set in level.sets
+        ])
     if hierarchy.synonym is not None:
         state.append(list(hierarchy.synonym.resident))
-    for ctrl in db.memory.controllers:
+        state.append(hierarchy.synonym.stats.snapshot())
+    for ctrl in machine.memory.controllers:
         state.append(ctrl.stats.snapshot())
         state.append(ctrl.bus_free)
         for bank in ctrl.banks:
             state.append((
                 bank.open_kind, bank.open_subarray, bank.open_index,
-                bank.open_entry, bank.ready_at, bank.activated_at,
+                bank.open_entry, bank.dirty, bank.ready_at, bank.activated_at,
                 bank.accesses, bank.activations,
             ))
     return state
 
 
+def _assert_same_multicore_result(precise, batched, label):
+    """``MulticoreMachine.run`` reports each core's finish clock under its
+    index in ``segment_ends``; the reference ``run`` reports none.  The
+    rest must be equal."""
+    assert batched.segment_ends == {
+        core: result.cycles for core, result in enumerate(batched.cores)
+    }, label
+    assert precise == dataclasses.replace(batched, segment_ends={}), label
+
+
 @pytest.mark.parametrize("system_name", ("RC-NVM", "DRAM"))
 def test_multicore_batched_replay_is_bit_for_bit(system_name):
-    from repro.cpu.multicore import MulticoreMachine
     from repro.harness.multicore import DEFAULT_CORE_MIX, build_core_traces
 
     memory = build_system(system_name)
@@ -117,14 +144,14 @@ def test_multicore_batched_replay_is_bit_for_bit(system_name):
     lists = [list(buffer.to_accesses()) for buffer in buffers]
 
     memory.reset()
-    machine = MulticoreMachine(memory, n_cores=len(buffers))
+    machine = PreciseMulticoreMachine(memory, n_cores=len(buffers))
     precise = machine.run(lists)
 
     memory.reset()
     machine = MulticoreMachine(memory, n_cores=len(buffers))
     batched = machine.run(buffers)
 
-    assert precise == batched, system_name
+    _assert_same_multicore_result(precise, batched, system_name)
 
 
 #: Small systems for random multicore traces, with the ops each serves
@@ -197,11 +224,12 @@ def _directory_state(machine):
 
 @given(case=_multicore_traces())
 def test_random_multicore_traces_replay_identically(case):
-    """``MulticoreMachine.run`` on access lists (``_step``) and on trace
-    buffers (``_step_soa``) ends in the same result and directory state."""
+    """The reference on access lists (``_step``) and
+    ``MulticoreMachine.run`` on trace buffers (``_step_soa``) end in the
+    same result and directory state."""
     system, traces = case
     factory = _MC_SYSTEMS[system][0]
-    precise_machine = MulticoreMachine(factory(), len(traces), **_MC_CACHES)
+    precise_machine = PreciseMulticoreMachine(factory(), len(traces), **_MC_CACHES)
     precise = precise_machine.run(traces)
     buffers = []
     for trace in traces:
@@ -210,5 +238,60 @@ def test_random_multicore_traces_replay_identically(case):
         buffers.append(buffer)
     batched_machine = MulticoreMachine(factory(), len(traces), **_MC_CACHES)
     batched = batched_machine.run(buffers)
-    assert precise == batched, system
+    _assert_same_multicore_result(precise, batched, system)
     assert _directory_state(precise_machine) == _directory_state(batched_machine)
+
+
+#: A single-core stack for the same ~50 lines per address space: 1 KiB
+#: L1, 2 KiB L2 and 4 KiB L3, all 2-way.  L1 and L2 sets overflow on
+#: every system; an L3 set overflows only when row and column (or row
+#: and gather) keys share it, so kernel-shaped traces always fit.
+_SC_CACHES = dict(l1_kib=1, l2_kib=2, l3_kib=4, ways=2)
+_READ_OPS = (Op.READ, Op.CREAD, Op.GATHER)
+
+
+@st.composite
+def _single_core_trace(draw):
+    """A small system and one access list for it.  Half the cases are
+    kernel-shaped: one read op, no barrier, pin or unpin."""
+    system = draw(st.sampled_from(sorted(_MC_SYSTEMS)))
+    _factory, ops, unpin_orientations = _MC_SYSTEMS[system]
+    if not draw(st.booleans()):
+        return system, draw(st.lists(_access(ops, unpin_orientations), max_size=60))
+    op = draw(st.sampled_from([op for op in ops if op in _READ_OPS]))
+    accesses = draw(
+        st.lists(_access((op,), unpin_orientations), min_size=1, max_size=60)
+    )
+    return system, [
+        Access(access.op, access.address, access.size, access.gap, coord=access.coord)
+        for access in accesses
+    ]
+
+
+def _single_core_machine(system, machine_class=Machine):
+    memory = _MC_SYSTEMS[system][0]()
+    synonym = SynonymDirectory(memory.mapper) if memory.supports_column else None
+    return machine_class(memory, make_hierarchy(synonym=synonym, **_SC_CACHES))
+
+
+@given(case=_single_core_trace())
+def test_random_single_core_traces_replay_identically(case):
+    """The reference on an access list, the batched loop on the finalized
+    trace and ``Machine.run`` on the buffer (the kernel whenever
+    ``kernel_eligible`` admits it) end in the same result and the same
+    simulator state."""
+    system, trace = case
+    buffer = TraceBuffer()
+    buffer.extend(trace)
+    fin = buffer.finalize()
+    precise_machine = _single_core_machine(system, PreciseMachine)
+    precise = precise_machine.run(trace)
+    batched_machine = _single_core_machine(system)
+    batched = batched_machine._run_batched(fin)
+    machine = _single_core_machine(system)
+    event(f"kernel_eligible={kernel_eligible(machine, fin)}")
+    replayed = machine.run(buffer)
+    assert precise == batched == replayed, system
+    state = _simulator_state(precise_machine)
+    assert state == _simulator_state(batched_machine), system
+    assert state == _simulator_state(machine), system

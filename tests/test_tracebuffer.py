@@ -215,12 +215,13 @@ class TestDecodeCaching:
 
 class TestTraceFileRoundtrip:
     def test_load_trace_buffer_matches_load_trace(self, tmp_path):
-        from repro.cpu.tracefile import load_trace, load_trace_buffer, save_trace
+        from repro.cpu.tracefile import load_trace, save_trace
 
         path = tmp_path / "trace.txt"
         save_trace(path, _sample_accesses())
         from_file = list(load_trace(path))
-        buffered = load_trace_buffer(path)
+        buffered = TraceBuffer()
+        buffered.extend(load_trace(path))
         assert len(buffered) == len(from_file)
         for a, b in zip(buffered, from_file):
             assert _same_access(a, b)
