@@ -156,5 +156,40 @@ class Cache:
             self.sets[index] = EMPTY_SET
         self._filled = []
 
+    # -- deferred contents ------------------------------------------------------
+    def defer_contents(self, build):
+        """Leave this empty cache's contents to ``build(cache)``, which runs
+        the first time anything reads ``sets`` or ``_filled``.
+
+        Until then neither attribute exists, so no reader can see an
+        unbuilt set; the cache is a :class:`_PendingCache` meanwhile, and
+        a plain :class:`Cache` again once built.  ``build`` fills through
+        :meth:`writable_set` and must not reference the cache, so a cache
+        dropped unread frees its pending contents at once, unbuilt.
+        """
+        assert not self._filled, "only an empty cache can defer its contents"
+        del self.sets, self._filled
+        self._build = build
+        self.__class__ = _PendingCache
+
     def __repr__(self):
         return f"Cache({self.name}, {self.size_bytes >> 10} KiB, {self.ways}-way)"
+
+
+class _PendingCache(Cache):
+    """A :class:`Cache` whose contents wait for their first reader (see
+    :meth:`Cache.defer_contents`).  Only this subclass defines
+    ``__getattr__``, so plain caches keep CPython's fast attribute path."""
+
+    def __getattr__(self, name):
+        if name not in ("sets", "_filled"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        build = self._build
+        del self._build
+        self.__class__ = Cache
+        self.sets = [EMPTY_SET] * self.num_sets
+        self._filled = []
+        build(self)
+        return getattr(self, name)

@@ -8,11 +8,16 @@ cache hierarchy is modelled as per-set Python lists of line keys, the
 per-channel controllers as per-bank integer FIFOs serviced by an exact
 port of the FR-FCFS pick (including bypass counting and the starvation
 age cap), and the bank timing state machine as five integers per bank.
-Real simulator objects (cache sets, controller stats, bank buffers) are
-reconstructed in bulk after the loop, so a kernel run leaves behind the
-*identical* end state — and the identical ``RunResult`` — the batched
-loop would have produced.  ``tests/test_replay_kernel.py`` and the
-``tests/test_replay_equivalence.py`` oracle pin this bit for bit.
+After the loop the statistics, controller and bank state and synonym
+counts are written into the real objects in bulk, and each cache level's
+lines are left to a build (:meth:`~repro.cache.cache.Cache.defer_contents`)
+that runs the first time anything reads that level's sets.  A kernel run
+thus leaves behind the *identical* end state — and the identical
+``RunResult`` — the batched loop would have produced, yet costs no
+``CacheLine`` when the next ``Database.reset_timing`` drops the hierarchy
+unread, as it does before every cold-timed statement.
+``tests/test_replay_kernel.py`` and the ``tests/test_replay_equivalence.py``
+oracle pin this bit for bit.
 
 The flattened replay columns (keys, gaps, first-occurrence flags, and
 the per-line channel/bank/want-key decode) are memoized on the
@@ -41,6 +46,7 @@ everything else — updates, pinned group-caching windows, barriers,
 overflowing traces — replays through ``Machine._run_batched`` untouched.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -178,7 +184,7 @@ def kernel_eligible(machine, fin, stream=None):
         unique_keys = np.unique(keys)
         per_set = np.bincount(
             (unique_keys & llc._set_mask).astype(np.int64),
-            minlength=len(llc.sets),
+            minlength=llc.num_sets,
         )
         # More distinct lines than ways in any LLC set would make the
         # inclusive LLC evict (and back-invalidate the upper levels).
@@ -186,10 +192,13 @@ def kernel_eligible(machine, fin, stream=None):
         fin._kernel_cache[fits_key] = fits
     if not fits:
         return False
-    # Fresh stats imply empty sets: a set only leaves EMPTY_SET through
-    # ``Cache.writable_set``, whose fill callers (install/fill_absent_read
-    # and this kernel's write-back) all count ``fills``, so fills == 0
-    # means no line was cached since the last construction/reset.
+    # Fresh stats imply empty sets, without reading one: a set only leaves
+    # EMPTY_SET through ``Cache.writable_set``, whose fill callers
+    # (install, fill_absent_read and this kernel's deferred builds) all
+    # come with counted ``fills`` (run_kernel writes its fills before it
+    # defers the build), so fills == 0 means no line was cached since the
+    # last construction or reset, and a level still waiting for its build
+    # is never fresh.
     fresh_cache = CacheStats()
     for level in hierarchy.levels:
         if level.stats != fresh_cache:
@@ -245,11 +254,11 @@ def run_kernel(machine, fin):
 
     # -- flat cache model ----------------------------------------------------
     l1, l2, l3 = hierarchy.levels
-    m1, m2, m3 = l1._set_mask, l2._set_mask, l3._set_mask
+    m1, m2 = l1._set_mask, l2._set_mask
     w1, w2 = l1.ways, l2.ways
-    l1k = [[] for _ in range(len(l1.sets))]
-    l2k = [[] for _ in range(len(l2.sets))]
-    l3_touched = []  # repeat keys that reached the LLC, in touch order
+    l1k = [[] for _ in range(l1.num_sets)]
+    l2k = [[] for _ in range(l2.num_sets)]
+    l3_hits = []  # line indices of LLC hits, in trace order
 
     # -- flat controller model ----------------------------------------------
     bank0 = memory.controllers[0].banks[0]
@@ -456,7 +465,7 @@ def run_kernel(machine, fin):
             continue
         r_l3 += 1
         now += hit3
-        l3_touched.append(key)
+        l3_hits.append(i)
         if len(s2) >= w2:
             del s2[0]
             ev2 += 1
@@ -560,7 +569,7 @@ def run_kernel(machine, fin):
             bank.accesses = bacc[bi]
             bank.activations = bact[bi]
 
-    # -- write cache state back ----------------------------------------------
+    # -- cache state: stats now, lines on first read -------------------------
     n_unique = int(miss_mask.sum())
     l1.stats.hits = r_l1
     l1.stats.misses = n_lines_total - r_l1
@@ -573,24 +582,11 @@ def run_kernel(machine, fin):
     l3.stats.hits = r_l3
     l3.stats.misses = n_unique
     l3.stats.fills = n_unique
-    for level, flat in ((l1, l1k), (l2, l2k)):
-        for set_index, lst in enumerate(flat):
-            if lst:
-                cache_set = level.writable_set(set_index)
-                for k in lst:
-                    cache_set[k] = CacheLine(k)
-    # LLC contents: all unique lines, per set in insertion order (the LLC
-    # never evicted), then repeat-touches replayed for exact LRU order.
-    unique_in_order = keys_arr[miss_mask]
-    set_of = (unique_in_order & m3).astype(np.int64)
-    grouping = np.argsort(set_of, kind="stable")
-    l3_sets = l3.sets
-    for k, set_index in zip(
-        unique_in_order[grouping].tolist(), set_of[grouping].tolist()
-    ):
-        l3.writable_set(set_index)[k] = CacheLine(k)
-    for k in l3_touched:
-        l3_sets[k & m3].move_to_end(k)
+    # Usually the next ``reset_timing`` drops the hierarchy unread, so the
+    # lines are built only if something reads them (see defer_contents).
+    l1.defer_contents(functools.partial(_build_upper, l1k))
+    l2.defer_contents(functools.partial(_build_upper, l2k))
+    l3.defer_contents(functools.partial(_build_llc, keys_l, first_arr, l3_hits))
     if hierarchy.synonym is not None:
         # Single orientation (eligibility): every LLC fill bumped one tag
         # of the resolver's counts and did nothing else (no eviction, no
@@ -621,3 +617,30 @@ def run_kernel(machine, fin):
     if hierarchy.synonym is not None:
         result.synonym = hierarchy.synonym.stats.snapshot()
     return result
+
+
+# -- deferred cache contents (see Cache.defer_contents) ----------------------
+def _build_upper(flat, cache):
+    """Fill an L1 or L2 from the loop's per-set key lists (LRU first)."""
+    for set_index, keys in enumerate(flat):
+        if keys:
+            cache_set = cache.writable_set(set_index)
+            for key in keys:
+                cache_set[key] = CacheLine(key)
+
+
+def _build_llc(keys_l, first_arr, hit_lines, llc):
+    """Fill the LLC by replaying its touches in trace order: a line's first
+    occurrence fills it and each LLC hit refreshes it, so every set ends in
+    last-touch (LRU) order.  The LLC never evicts under the kernel."""
+    touched = first_arr.copy()
+    touched[np.array(hit_lines, dtype=np.intp)] = True
+    lines = np.flatnonzero(touched)
+    mask = llc._set_mask
+    for i, first in zip(lines.tolist(), first_arr[lines].tolist()):
+        key = keys_l[i]
+        cache_set = llc.writable_set(key & mask)
+        if first:
+            cache_set[key] = CacheLine(key)
+        else:
+            cache_set.move_to_end(key)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError, SqlError
 from repro.fuzz import invariants
-from repro.fuzz.grammar import render_sql, statement_fields
+from repro.fuzz.grammar import render_sql
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.imdb.database import Database
 from repro.imdb.sql_parser import parse

@@ -8,8 +8,8 @@ work on NumPy arrays.  The trace preserves the order a vectorized IMDB
 engine would touch memory in, which is what the timing model consumes.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.imdb.planner import (
     FilterFetchPlan,
     JoinPlan,
     OrderedProjectionPlan,
-    PlannedPredicate,
     ScanMethod,
     UpdatePlan,
     WideAggregatePlan,

@@ -23,11 +23,11 @@ the round is the batching granularity of the front end, while the
 *memory system* interleaves the round's statements at trace granularity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serving.session import TenantSession, TenantSpec
+from repro.serving.session import TenantSession
 from repro.serving.slo import fairness_ratio
 
 

@@ -9,7 +9,7 @@ counters, queue-depth gauge) registered in a shared
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.serving.arrivals import ARRIVAL_KINDS, make_arrivals

@@ -8,7 +8,8 @@ one access and one line at a time (its ``run`` was
 ``Machine._run_precise``), and :class:`PreciseMulticoreMachine` keeps the
 multicore ``run`` loop with its per-access ``_step`` next to
 ``_step_soa``.  ``tests/test_replay_equivalence.py`` and
-``tests/test_multicore.py`` compare the shipped engines against them.
+``tests/test_multicore.py`` compare the shipped engines against them;
+:func:`simulator_state` is the single-core end state they compare.
 """
 
 import heapq
@@ -271,3 +272,31 @@ def line_word_mask(access, line_index):
     for word in range(first_word, last_word + 1):
         mask |= 1 << word
     return mask
+
+
+def simulator_state(machine):
+    """Everything a replay leaves behind: per-level stats, every level's
+    lines in LRU order with their dirty, pinned and crossing bits, the
+    synonym counts and stats, controller stats and every bank register."""
+    hierarchy = machine.hierarchy
+    state = []
+    for level in hierarchy.levels:
+        state.append(level.stats.snapshot())
+        state.append([
+            [(key, line.dirty, line.pinned, line.crossing)
+             for key, line in cache_set.items()]
+            for cache_set in level.sets
+        ])
+    if hierarchy.synonym is not None:
+        state.append(list(hierarchy.synonym.resident))
+        state.append(hierarchy.synonym.stats.snapshot())
+    for ctrl in machine.memory.controllers:
+        state.append(ctrl.stats.snapshot())
+        state.append(ctrl.bus_free)
+        for bank in ctrl.banks:
+            state.append((
+                bank.open_kind, bank.open_subarray, bank.open_index,
+                bank.open_entry, bank.dirty, bank.ready_at, bank.activated_at,
+                bank.accesses, bank.activations,
+            ))
+    return state

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.cache.cache import EMPTY_SET, Cache
-from repro.cache.line import line_key
+from repro.cache.cache import EMPTY_SET, Cache, _PendingCache
+from repro.cache.line import CacheLine, line_key
 from repro.core.addressing import Orientation
 from repro.errors import ConfigurationError
 
@@ -82,6 +82,59 @@ class TestLazySets:
         assert victim.key == key(0)
         assert cache.sets[1] is EMPTY_SET
         assert cache.occupancy() == 2
+
+
+class TestDeferredContents:
+    """``Cache.defer_contents``: the build runs once, on the first read of
+    ``sets`` or ``_filled``, and leaves a plain ``Cache``."""
+
+    @staticmethod
+    def _defer(cache, keys):
+        builds = []
+
+        def build(target):
+            builds.append(target)
+            for k in keys:
+                target.writable_set(k & target._set_mask)[k] = CacheLine(k)
+
+        cache.defer_contents(build)
+        return builds
+
+    def test_plain_caches_define_no_getattr(self):
+        assert not hasattr(Cache, "__getattr__")
+
+    @pytest.mark.parametrize("read", [
+        lambda c: c.probe(key(4)),
+        lambda c: c.occupancy(),
+        lambda c: list(c.resident_lines()),
+        lambda c: c.install(key(8)),
+        lambda c: c.sets,
+    ])
+    def test_first_read_builds_once(self, cache, read):
+        keys = [key(0), key(4), key(1)]
+        builds = self._defer(cache, keys)
+        assert type(cache) is _PendingCache and builds == []
+        read(cache)
+        assert type(cache) is Cache and builds == [cache]
+        plain = Cache("plain", size_bytes=8 * 64, ways=2, hit_latency=4)
+        self._defer(plain, keys)
+        plain.sets  # built before the read this time
+        read(plain)
+        assert [list(s) for s in cache.sets] == [list(s) for s in plain.sets]
+        cache.clear()
+        assert builds == [cache] and cache.occupancy() == 0
+
+    def test_other_missing_attributes_still_raise(self, cache):
+        builds = self._defer(cache, [key(0)])
+        with pytest.raises(AttributeError):
+            cache.no_such_attribute
+        assert type(cache) is _PendingCache and builds == []
+        assert cache.num_sets == 4 and cache.stats.fills == 0
+
+    def test_only_an_empty_cache_defers(self, cache):
+        cache.install(key(0))
+        with pytest.raises(AssertionError):
+            cache.defer_contents(lambda target: None)
 
 
 class TestLru:

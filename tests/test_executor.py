@@ -11,7 +11,6 @@ from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.geometry import CACHE_LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
-from repro.imdb.sql_parser import parse
 
 QUERIES = [
     "SELECT * FROM t WHERE f1 > 800",

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_database, simple_rows
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.errors import LayoutError, SqlError
-from repro.imdb.index import HashIndex
 
 
 def indexed_db(system="RC-NVM", n=600, value_range=50):

@@ -22,7 +22,11 @@ import os
 import pytest
 from hypothesis import event, given, strategies as st
 
-from replay_oracle import PreciseMachine, PreciseMulticoreMachine
+from replay_oracle import (
+    PreciseMachine,
+    PreciseMulticoreMachine,
+    simulator_state,
+)
 from repro.cache.hierarchy import make_hierarchy
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Coordinate, Orientation
@@ -64,11 +68,11 @@ def test_batched_replay_is_bit_for_bit(system_name):
         precise = PreciseMachine(db.memory, db.hierarchy, window=db.window).run(
             accesses
         )
-        precise_state = _simulator_state(db.machine)
+        precise_state = simulator_state(db.machine)
         db.reset_timing()
         batched = db.machine._run_batched(buffer.finalize())
         assert precise == batched, (system_name, qid)
-        assert precise_state == _simulator_state(db.machine), (system_name, qid)
+        assert precise_state == simulator_state(db.machine), (system_name, qid)
 
 
 @pytest.mark.parametrize("system_name", SYSTEMS)
@@ -84,44 +88,16 @@ def test_kernel_replay_is_bit_for_bit(system_name):
         fin = buffer.finalize()
         db.reset_timing()
         batched = db.machine._run_batched(fin)
-        batched_state = _simulator_state(db.machine)
+        batched_state = simulator_state(db.machine)
         db.reset_timing()
         if kernel_eligible(db.machine, fin):
             eligible.append(qid)
         replayed = db.machine.run(buffer)
-        replayed_state = _simulator_state(db.machine)
+        replayed_state = simulator_state(db.machine)
         assert batched == replayed, (system_name, qid)
         assert batched_state == replayed_state, (system_name, qid)
     # Otherwise a gate that never fires would compare batched with batched.
     assert eligible, system_name
-
-
-def _simulator_state(machine):
-    """Everything a replay leaves behind: per-level stats, every level's
-    lines in LRU order with their dirty, pinned and crossing bits, the
-    synonym counts and stats, controller stats and every bank register."""
-    hierarchy = machine.hierarchy
-    state = []
-    for level in hierarchy.levels:
-        state.append(level.stats.snapshot())
-        state.append([
-            [(key, line.dirty, line.pinned, line.crossing)
-             for key, line in cache_set.items()]
-            for cache_set in level.sets
-        ])
-    if hierarchy.synonym is not None:
-        state.append(list(hierarchy.synonym.resident))
-        state.append(hierarchy.synonym.stats.snapshot())
-    for ctrl in machine.memory.controllers:
-        state.append(ctrl.stats.snapshot())
-        state.append(ctrl.bus_free)
-        for bank in ctrl.banks:
-            state.append((
-                bank.open_kind, bank.open_subarray, bank.open_index,
-                bank.open_entry, bank.dirty, bank.ready_at, bank.activated_at,
-                bank.accesses, bank.activations,
-            ))
-    return state
 
 
 def _assert_same_multicore_result(precise, batched, label):
@@ -251,13 +227,16 @@ _READ_OPS = (Op.READ, Op.CREAD, Op.GATHER)
 
 
 @st.composite
-def _single_core_trace(draw):
-    """A small system and one access list for it.  Half the cases are
-    kernel-shaped: one read op, no barrier, pin or unpin."""
+def _single_core_traces(draw):
+    """A small system, one access list for it and a follow-up list to
+    replay warm.  Half the first lists are kernel-shaped: one read op, no
+    barrier, pin or unpin."""
     system = draw(st.sampled_from(sorted(_MC_SYSTEMS)))
     _factory, ops, unpin_orientations = _MC_SYSTEMS[system]
+    follow_up = st.lists(_access(ops, unpin_orientations), max_size=30)
     if not draw(st.booleans()):
-        return system, draw(st.lists(_access(ops, unpin_orientations), max_size=60))
+        trace = draw(st.lists(_access(ops, unpin_orientations), max_size=60))
+        return system, trace, draw(follow_up)
     op = draw(st.sampled_from([op for op in ops if op in _READ_OPS]))
     accesses = draw(
         st.lists(_access((op,), unpin_orientations), min_size=1, max_size=60)
@@ -265,7 +244,7 @@ def _single_core_trace(draw):
     return system, [
         Access(access.op, access.address, access.size, access.gap, coord=access.coord)
         for access in accesses
-    ]
+    ], draw(follow_up)
 
 
 def _single_core_machine(system, machine_class=Machine):
@@ -274,24 +253,50 @@ def _single_core_machine(system, machine_class=Machine):
     return machine_class(memory, make_hierarchy(synonym=synonym, **_SC_CACHES))
 
 
-@given(case=_single_core_trace())
+@given(case=_single_core_traces())
 def test_random_single_core_traces_replay_identically(case):
-    """The reference on an access list, the batched loop on the finalized
-    trace and ``Machine.run`` on the buffer (the kernel whenever
-    ``kernel_eligible`` admits it) end in the same result and the same
-    simulator state."""
-    system, trace = case
-    buffer = TraceBuffer()
-    buffer.extend(trace)
-    fin = buffer.finalize()
+    """The reference on access lists, the batched loop on finalized traces
+    and ``Machine.run`` on buffers (the kernel whenever ``kernel_eligible``
+    admits the first trace) give the same results and end in the same
+    simulator state.  The follow-up replays warm before any state is read,
+    so its own reads build whatever contents the kernel left pending."""
+    system, trace, follow_up = case
     precise_machine = _single_core_machine(system, PreciseMachine)
-    precise = precise_machine.run(trace)
     batched_machine = _single_core_machine(system)
-    batched = batched_machine._run_batched(fin)
     machine = _single_core_machine(system)
-    event(f"kernel_eligible={kernel_eligible(machine, fin)}")
-    replayed = machine.run(buffer)
-    assert precise == batched == replayed, system
-    state = _simulator_state(precise_machine)
-    assert state == _simulator_state(batched_machine), system
-    assert state == _simulator_state(machine), system
+    for accesses in (trace, follow_up):
+        buffer = TraceBuffer()
+        buffer.extend(accesses)
+        fin = buffer.finalize()
+        if accesses is trace:
+            event(f"kernel_eligible={kernel_eligible(machine, fin)}")
+        precise = precise_machine.run(accesses)
+        batched = batched_machine._run_batched(fin)
+        replayed = machine.run(buffer)
+        assert precise == batched == replayed, system
+    state = simulator_state(precise_machine)
+    assert state == simulator_state(batched_machine), system
+    assert state == simulator_state(machine), system
+
+
+#: Hypothesis found this trace: line 0 hits in LLC set 0 (after L1 and
+#: L2 evicted it) before line 32 first fills that set, so the LLC's LRU
+#: order is each line's last touch, not fills first and hits after.  The
+#: follow-up then evicts from that set and reads both lines back.
+_LLC_ORDER_TRACE = [Access(Op.READ, 0x0, 8, 0)] * 11 + [
+    Access(Op.READ, address, 128, 0) for address in (0x388, 0xB88)
+] + [Access(Op.READ, 0x0, 8, 0), Access(Op.READ, 0x788, 128, 0)]
+_LLC_ORDER_FOLLOW_UP = [Access(Op.READ, line * 64, 64, 0) for line in (64, 32, 0)]
+
+
+@pytest.mark.parametrize("system", ("GS-DRAM", "RC-NVM"))
+def test_kernel_leaves_llc_in_last_touch_order(system):
+    precise_machine = _single_core_machine(system, PreciseMachine)
+    machine = _single_core_machine(system)
+    for accesses in (_LLC_ORDER_TRACE, _LLC_ORDER_FOLLOW_UP):
+        buffer = TraceBuffer()
+        buffer.extend(accesses)
+        if accesses is _LLC_ORDER_TRACE:
+            assert kernel_eligible(machine, buffer.finalize())
+        assert precise_machine.run(accesses) == machine.run(buffer), system
+        assert simulator_state(precise_machine) == simulator_state(machine), system

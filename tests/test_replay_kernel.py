@@ -3,10 +3,17 @@
 Bit-for-bit equivalence against the batched path over the full SQL suite
 lives in ``tests/test_replay_equivalence.py``; these tests pin the
 supporting machinery — automatic engine selection, the eligibility
-gate's fallback decisions, and the end-state reconstruction on a small
-system.
+gate's fallback decisions, and the end state on a small system,
+including the cache contents the kernel leaves to their first reader.
 """
 
+import weakref
+
+import pytest
+
+from replay_oracle import simulator_state
+from repro.cache.cache import Cache, _PendingCache
+from repro.cache.line import CacheLine
 from repro.cpu.replaykernel import kernel_eligible
 from repro.cpu.trace import Op
 from repro.cpu.tracebuffer import TraceBuffer
@@ -140,11 +147,11 @@ class TestEndState:
         fin = buffer.finalize()
         db.reset_timing()
         db.machine._run_batched(fin)
-        expected = self._state(db)
+        expected = simulator_state(db.machine)
         db.reset_timing()
         assert kernel_eligible(db.machine, fin)
         db.machine.run(fin)
-        assert self._state(db) == expected
+        assert simulator_state(db.machine) == expected
 
     def test_repeat_replay_reuses_memoized_columns(self):
         db = _small_db()
@@ -156,22 +163,90 @@ class TestEndState:
         db.reset_timing()
         assert db.machine.run(fin) == first
 
-    @staticmethod
-    def _state(db):
-        hierarchy = db.machine.hierarchy
-        state = [hierarchy.synonym and list(hierarchy.synonym.resident)]
-        for level in hierarchy.levels:
-            state.append(level.stats.snapshot())
-            state.append([list(s.keys()) for s in level.sets])
-        for ctrl in db.memory.controllers:
-            state.append(ctrl.stats.snapshot())
-            state.append(ctrl.bus_free)
-            state.extend(
-                (bank.open_entry, bank.ready_at, bank.activated_at,
-                 bank.accesses, bank.activations)
-                for bank in ctrl.banks
-            )
-        return state
+
+#: What each reader of a hierarchy returns, as plain values.
+_READERS = {
+    "resident_lines": lambda hierarchy, keys: [
+        [(line.key, line.dirty, line.pinned, line.crossing)
+         for line in level.resident_lines()]
+        for level in hierarchy.levels
+    ],
+    "occupancy": lambda hierarchy, keys: [
+        level.occupancy() for level in hierarchy.levels
+    ],
+    "probe": lambda hierarchy, keys: [
+        [level.probe(key) is not None for key in keys]
+        for level in hierarchy.levels
+    ],
+    "check_invariants": lambda hierarchy, keys: hierarchy.check_invariants(),
+    "flush": lambda hierarchy, keys: hierarchy.flush(),
+}
+
+
+class TestDeferredContents:
+    """The kernel leaves each level's lines to a build that runs on the
+    first read (``Cache.defer_contents``); no reader can tell."""
+
+    @pytest.mark.parametrize("system", ("RC-NVM", "DRAM", "GS-DRAM"))
+    def test_warm_batched_replay_after_kernel_matches_two_batched(self, system):
+        # Nothing reads the kernel's state before the second replay, so
+        # the batched loop's own reads are what build it.
+        db = _small_db(system)
+        first = _read_trace(db).finalize()
+        second = _read_trace(db, "SELECT SUM(f1) FROM t WHERE f2 < x").finalize()
+        db.reset_timing()
+        expected = [db.machine._run_batched(first), db.machine._run_batched(second)]
+        expected_state = simulator_state(db.machine)
+        db.reset_timing()
+        assert kernel_eligible(db.machine, first)
+        replayed = [db.machine.run(first)]
+        levels = db.hierarchy.levels
+        assert all(type(level) is _PendingCache for level in levels)
+        replayed.append(db.machine.run(second))
+        assert replayed == expected
+        assert simulator_state(db.machine) == expected_state
+        assert all(type(level) is Cache for level in levels)
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("system", ("RC-NVM", "DRAM", "GS-DRAM"))
+    def test_first_reader_sees_what_batched_leaves(self, system, reader):
+        read = _READERS[reader]
+        db = _small_db(system)
+        fin = _read_trace(db).finalize()
+        keys = fin.line_key.tolist()
+        db.reset_timing()
+        db.machine._run_batched(fin)
+        expected = read(db.hierarchy, keys), simulator_state(db.machine)
+        db.reset_timing()
+        assert kernel_eligible(db.machine, fin)
+        db.machine.run(fin)
+        assert (read(db.hierarchy, keys), simulator_state(db.machine)) == expected
+
+    @pytest.mark.parametrize("system", ("RC-NVM", "DRAM"))
+    def test_reset_after_kernel_builds_no_cache_line(self, system, monkeypatch):
+        db = _small_db(system)
+        fin = _read_trace(db).finalize()
+        db.reset_timing()
+        built = []
+        init = CacheLine.__init__
+
+        def counting_init(line, key, *args, **kwargs):
+            built.append(key)
+            init(line, key, *args, **kwargs)
+
+        monkeypatch.setattr(CacheLine, "__init__", counting_init)
+        assert kernel_eligible(db.machine, fin)
+        db.machine.run(fin)
+        levels = [weakref.ref(level) for level in db.hierarchy.levels]
+        db.reset_timing()
+        assert built == []
+        # Freed at once: no build holds its cache.
+        assert [level() for level in levels] == [None, None, None]
+        # The hook does count: reading the next kernel run's state builds
+        # exactly its resident lines.
+        db.machine.run(fin)
+        resident = sum(level.occupancy() for level in db.hierarchy.levels)
+        assert len(built) == resident > 0
 
 
 class TestWriteAfterReadHazard:
