@@ -18,15 +18,34 @@ audits the crossing bits.  The single-core
 :class:`~repro.cache.hierarchy.CacheHierarchy` and the multicore
 :class:`~repro.cache.coherence.MesiDirectory` ("synonym first, then
 MESI", Section 4.3.3) call it once per LLC fill, write and eviction and
-keep no copy of the rules.
+keep no copy of the rules; the replay kernel
+(:mod:`repro.cpu.replaykernel`) applies the fill rule to a whole
+read-only trace at once through :meth:`SynonymDirectory.read_fills`.
 """
 
-from repro.core.addressing import AddressMapper, Orientation
-from repro.cache.line import SPACE_SHIFT, key_address, key_orientation, line_key
-from repro.cache.stats import SynonymStats
-from repro.geometry import WORDS_PER_LINE
+from collections import namedtuple
 
+import numpy as np
+
+from repro.core.addressing import AddressMapper, Orientation
+from repro.cache.line import (
+    SPACE_SHIFT,
+    key_address,
+    key_line_index,
+    key_orientation,
+    line_key,
+)
+from repro.cache.stats import SynonymStats
+from repro.geometry import CACHE_LINE_BYTES, WORDS_PER_LINE
+
+_ROW_TAG = int(Orientation.ROW)
+_COL_TAG = int(Orientation.COLUMN)
 _GATHER_TAG = int(Orientation.GATHER)
+
+#: What :meth:`SynonymDirectory.read_fills` returns: per fill, the cycles
+#: ``on_fill`` charges and the crossing mask the line ends with; the
+#: resident ``[row, column]`` counts; and the check and copy totals.
+ReadFills = namedtuple("ReadFills", "cycles crossing resident checks copies")
 
 
 class SynonymDirectory:
@@ -90,6 +109,61 @@ class SynonymDirectory:
             other.set_crossing(word_other)
             copies += 1
         return self.charge_fill_check(copies)
+
+    def read_fills(self, keys):
+        """:meth:`on_fill` for each of ``keys`` in turn, in bulk: the LLC
+        starts empty, every key is filled once, in order, and nothing is
+        evicted or written meanwhile (a fresh, read-only replay that fits
+        the LLC).  Then the LLC holds exactly the keys filled before each
+        fill, so the rule depends on ``keys`` alone.
+
+        Returns :data:`ReadFills` and changes no state; :meth:`add_fills`
+        commits it.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        n = keys.shape[0]
+        tags = keys >> SPACE_SHIFT
+        cycles = np.zeros(n, dtype=np.int64)
+        crossing = np.zeros(n, dtype=np.int64)
+        is_row = tags == _ROW_TAG
+        is_col = tags == _COL_TAG
+        resident = [int(is_row.sum()), int(is_col.sum())]
+        if not (resident[0] and resident[1]):
+            # A check runs only once the other orientation is resident.
+            return ReadFills(cycles, crossing, resident, 0, 0)
+        order = np.arange(n)
+        checked = (is_row & (order > np.argmax(is_col))) | (
+            is_col & (order > np.argmax(is_row))
+        )
+        lines = np.flatnonzero(is_row | is_col)
+        cross, word_other = self.crossing_keys_bulk(keys[lines])
+        by_key = np.argsort(keys, kind="stable")
+        slot = np.minimum(np.searchsorted(keys, cross, sorter=by_key), n - 1)
+        cross_at = by_key[slot]
+        # Resident at the fill: filled earlier, i.e. a copy (one per word).
+        earlier = (keys[cross_at] == cross) & (cross_at < lines[:, None])
+        copies = earlier.sum(axis=1)
+        cycles[lines] = np.where(
+            checked[lines], self._fill_check_cycles(1, copies), 0
+        )
+        words = np.arange(WORDS_PER_LINE, dtype=np.int64)
+        crossing[lines] = (earlier << words).sum(axis=1)
+        partner_line, partner_word = np.nonzero(earlier)
+        np.bitwise_or.at(
+            crossing,
+            cross_at[partner_line, partner_word],
+            np.int64(1) << word_other[partner_line],
+        )
+        return ReadFills(
+            cycles, crossing, resident, int(checked.sum()), int(copies.sum())
+        )
+
+    def add_fills(self, fills):
+        """Commit a :meth:`read_fills` result: count its lines resident and
+        charge its checks.  Returns the cycles charged."""
+        self.resident[_ROW_TAG] += fills.resident[0]
+        self.resident[_COL_TAG] += fills.resident[1]
+        return self.charge_fill_check(fills.copies, fills.checks)
 
     def on_write(self, llc, key, word_mask):
         """Words ``word_mask`` of ``key`` were written: update the duplicate
@@ -200,13 +274,53 @@ class SynonymDirectory:
                 )
         return crossings
 
+    def crossing_keys_bulk(self, keys):
+        """:meth:`crossing_keys` for an array of row or column keys.
+
+        Returns ``(cross, word_in_other)``: ``cross[n, i]`` is the key of
+        the line crossing ``keys[n]`` at its word ``i`` (``word_in_self``
+        is the column index), and ``word_in_other[n]`` the index of the
+        shared word within each of those lines.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        is_row = (keys >> SPACE_SHIFT) == _ROW_TAG
+        address = key_line_index(keys) * CACHE_LINE_BYTES
+        upper = address >> self._upper_shift << self._upper_shift
+        row = np.where(
+            is_row, address >> self._ro_row_shift, address >> self._co_row_shift
+        ) & self._row_mask
+        col = np.where(
+            is_row, address >> self._ro_col_shift, address >> self._co_col_shift
+        ) & self._col_mask
+        # As in the scalar form: a row line's ``col`` is its first column
+        # and a column line's ``row`` its first row.
+        base = ~(WORDS_PER_LINE - 1)
+        step = np.arange(WORDS_PER_LINE, dtype=np.int64)
+        cross_addr = upper[:, None] | np.where(
+            is_row[:, None],
+            ((col[:, None] + step) << self._co_col_shift)
+            | ((row & base) << self._co_row_shift)[:, None],
+            ((row[:, None] + step) << self._ro_row_shift)
+            | ((col & base) << self._ro_col_shift)[:, None],
+        )
+        cross_tag = np.where(is_row, _COL_TAG, _ROW_TAG)[:, None]
+        cross = (cross_tag << SPACE_SHIFT) | (cross_addr // CACHE_LINE_BYTES)
+        word_in_other = np.where(is_row, row, col) & (WORDS_PER_LINE - 1)
+        return cross, word_in_other
+
     # -- pricing ------------------------------------------------------------
-    def charge_fill_check(self, copies):
-        """Price one fill-time crossing check that found ``copies`` crossed
-        words to duplicate; returns the cycles charged."""
-        self.stats.crossing_checks += 1
+    def _fill_check_cycles(self, checks, copies):
+        """Cycles of ``checks`` fill-time crossing checks that found
+        ``copies`` crossed words to duplicate (scalars or arrays)."""
+        return self.PROBE_BATCH_COST * checks + self.COPY_COST * copies
+
+    def charge_fill_check(self, copies, checks=1):
+        """Price ``checks`` fill-time crossing checks (default one) that
+        found ``copies`` crossed words to duplicate in all; returns the
+        cycles charged."""
+        self.stats.crossing_checks += checks
         self.stats.crossing_copies += copies
-        cycles = self.PROBE_BATCH_COST + self.COPY_COST * copies
+        cycles = self._fill_check_cycles(checks, copies)
         self.stats.overhead_cycles += cycles
         return cycles
 

@@ -23,23 +23,27 @@ The flattened replay columns (keys, gaps, first-occurrence flags, and
 the per-line channel/bank/want-key decode) are memoized on the
 :class:`~repro.cpu.tracebuffer.FinalizedTrace` itself, so replaying a
 cached trace template again — the serving hot path — skips straight to
-the integer loop.
+the integer loop.  So is the Section 4.3 fill rule on RC-NVM
+(:meth:`~repro.cache.synonym.SynonymDirectory.read_fills`): with no LLC
+eviction and no write, each fill's crossing checks, copies and cycles
+depend on the trace alone.  A trace that mixes row and column lines
+folds each fill's synonym cycles into the next line's gap; in the bank
+model its row↔column switches are buffer conflicts like any other.
 
 The price of dropping the object machinery is generality:
 :func:`kernel_eligible` admits a trace only when the flat model provably
 reproduces the full one —
 
 * read-only traces (writes drive dirty-buffer flushes, write-queue
-  draining and cache writebacks; they stay on the batched path),
+  draining, cache writebacks and duplicate updates of crossed words;
+  they stay on the batched path),
 * FR-FCFS scheduling with the open page policy on pristine controllers
   and caches (a fresh ``Database.reset_timing`` state),
 * per-channel queues deep enough that submission can never force an
   overflow-driven early schedule (``queue_depth > window``),
 * at most ``ways`` distinct lines per LLC set, so the inclusive LLC
-  never evicts (no back-invalidation, no writebacks),
-* a single orientation when a synonym tracker is armed, so crossing
-  checks are provably zero-cost (mixed row+gather traces are fine on
-  GS-DRAM, whose tracker is ``None``).
+  never evicts (no back-invalidation, no writebacks, no crossing-bit
+  clears).
 
 ``Machine.run`` asks :func:`kernel_eligible` on every buffer replay;
 everything else — updates, pinned group-caching windows, barriers,
@@ -51,7 +55,7 @@ import itertools
 
 import numpy as np
 
-from repro.cache.line import SPACE_SHIFT, CacheLine
+from repro.cache.line import CacheLine
 from repro.cache.stats import CacheStats
 from repro.core.addressing import Orientation
 from repro.cpu.tracebuffer import LINE_GATHER
@@ -62,10 +66,12 @@ _ROW_TAG = int(Orientation.ROW)
 _COL_TAG = int(Orientation.COLUMN)
 _GATHER_TAG = int(Orientation.GATHER)
 
-#: want-key packing: ``(subarray << _WANT_SHIFT) | buffer_index`` — one
-#: integer compare per open-buffer hit test.  Row/column indices are far
-#: below 2**32 for every modelled geometry.
+#: want-key packing: ``((subarray << 1 | is_column) << _WANT_SHIFT) |
+#: buffer_index`` — one integer compare per open-buffer hit test, and the
+#: buffer kind in bit ``_WANT_SHIFT`` (gathers use the row buffer).
+#: Row/column indices are far below 2**32 for every modelled geometry.
 _WANT_SHIFT = 32
+_KIND_BIT = 1 << _WANT_SHIFT
 
 
 def _static_columns(fin):
@@ -99,8 +105,11 @@ def _channel_columns(fin, memory):
         banks_per_rank = memory.geometry.banks
         orient_arr = fin.line_orient.astype(np.int64)
         dch, drk, dbk, dsa, drow, dcol = fin.decoded_arrays_for(mapper)
-        idx_arr = np.where(orient_arr == _COL_TAG, dcol, drow)
-        want_arr = (dsa.astype(np.int64) << _WANT_SHIFT) | idx_arr
+        is_col = orient_arr == _COL_TAG
+        idx_arr = np.where(is_col, dcol, drow)
+        want_arr = (
+            (dsa.astype(np.int64) << 1 | is_col) << _WANT_SHIFT
+        ) | idx_arr
         ch_l = dch.tolist()
         bank_l = (drk * banks_per_rank + dbk).tolist()
         want_l = want_arr.tolist()
@@ -112,19 +121,55 @@ def _channel_columns(fin, memory):
                 coord = coords[int(line_acc[li])]
                 ch_l[li] = coord.channel
                 bank_l[li] = coord.rank * banks_per_rank + coord.bank
-                want_l[li] = (coord.subarray << _WANT_SHIFT) | coord.row
+                want_l[li] = (coord.subarray << 1 << _WANT_SHIFT) | coord.row
         cached = (ch_l, bank_l, want_l)
         fin._kernel_cache[mapper] = cached
+    return cached
+
+
+def _synonym_columns(fin, synonym, gaps_l, first_arr):
+    """The Section 4.3 fill rule over the whole trace, memoized on ``fin``
+    per mapper: ``(gaps, tail, crossing, fills)``.
+
+    ``fills`` is :meth:`SynonymDirectory.read_fills` of the trace's LLC
+    fills (each line's first occurrence, in order).  ``gaps`` adds each
+    fill's cycles to the next line's gap, and ``tail`` holds the last
+    line's: the batched loop adds them right after the line's window
+    retire, and nothing reads the clock again before the next gap.
+    ``crossing`` maps each crossed line's key to its final crossing mask.
+    A trace with no crossing check keeps the static gap list ``gaps_l``."""
+    cache_key = ("synonym", synonym.mapper)
+    cached = fin._kernel_cache.get(cache_key)
+    if cached is None:
+        fill_lines = np.flatnonzero(first_arr)
+        fill_keys = fin.line_key[fill_lines]
+        fills = synonym.read_fills(fill_keys)
+        tail = 0
+        crossing = {}
+        if fills.checks:
+            gaps = np.append(fin.line_gap, 0)
+            gaps[fill_lines + 1] += fills.cycles
+            tail = int(gaps[-1])
+            gaps_l = gaps[:-1].tolist()
+            crossed = np.flatnonzero(fills.crossing)
+            crossing = dict(zip(
+                fill_keys[crossed].tolist(), fills.crossing[crossed].tolist()
+            ))
+        # The per-fill arrays are folded in; add_fills needs the totals.
+        fills = fills._replace(cycles=None, crossing=None)
+        cached = (gaps_l, tail, crossing, fills)
+        fin._kernel_cache[cache_key] = cached
     return cached
 
 
 def kernel_eligible(machine, fin, stream=None):
     """Can :func:`run_kernel` replay ``fin`` on ``machine`` bit-for-bit?
 
-    Checks trace shape (pure reads, single orientation under a synonym
-    tracker, gather coords present, no LLC-set overflow) and simulator
-    state (pristine caches/controllers/banks, FR-FCFS + open-page, queues
-    deeper than the MSHR window).  Trace-shape verdicts are memoized on
+    Checks trace shape (pure reads, gather coords present, no LLC-set
+    overflow) and simulator state (pristine caches/controllers/banks,
+    FR-FCFS + open-page, queues deeper than the MSHR window).  Row and
+    column lines may mix: the kernel applies the synonym fill rule and
+    counts orientation switches.  Trace-shape verdicts are memoized on
     the trace, so re-checking a cached template costs only the O(banks)
     state probes.
 
@@ -169,14 +214,9 @@ def kernel_eligible(machine, fin, stream=None):
                 for acc in fin.line_acc[(special & LINE_GATHER) != 0].tolist()
             )  # a missing coord raises CapabilityError mid-run on the
             #    batched path; keep that behaviour by falling back
-        if shape_ok:
-            orient = fin.line_orient
-            fin._kernel_cache["uniform_orient"] = not (orient != orient[0]).any()
         fin._kernel_cache["shape"] = shape_ok
     if not shape_ok:
         return False
-    if synonym is not None and not fin._kernel_cache["uniform_orient"]:
-        return False  # mixed orientations would arm crossing checks
     llc = hierarchy.llc
     fits_key = ("llc_fits", llc._set_mask, llc.ways)
     fits = fin._kernel_cache.get(fits_key)
@@ -251,6 +291,13 @@ def run_kernel(machine, fin):
     n_lines_total = keys_arr.shape[0]
     keys_l, gaps_l, first_arr, first_l = _static_columns(fin)
     ch_l, bank_l, want_l = _channel_columns(fin, memory)
+    synonym = hierarchy.synonym
+    tail = 0
+    crossing = {}
+    if synonym is not None:
+        gaps_l, tail, crossing, fills = _synonym_columns(
+            fin, synonym, gaps_l, first_arr
+        )
 
     # -- flat cache model ----------------------------------------------------
     l1, l2, l3 = hierarchy.levels
@@ -283,6 +330,7 @@ def run_kernel(machine, fin):
     hits_c = [0] * n_channels
     empty_c = [0] * n_channels
     confl_c = [0] * n_channels
+    switch_c = [0] * n_channels
     actv_c = [0] * n_channels
     starved = [0] * n_channels
     starv_hits = [0] * n_channels
@@ -354,7 +402,7 @@ def run_kernel(machine, fin):
         if not q:
             act.remove(b)
         pending[ch] -= 1
-        # -- Bank.prepare, reads only (never dirty, uniform buffer kind)
+        # -- Bank.prepare, reads only (never dirty)
         a = arrival[e]
         r = bank_ready[ch][b]
         start = a if a > r else r
@@ -368,6 +416,8 @@ def run_kernel(machine, fin):
                 prep = rcd
             else:
                 confl_c[ch] += 1
+                if (bank_open[ch][b] ^ want) & _KIND_BIT:
+                    switch_c[ch] += 1
                 earliest_close = bank_act_at[ch][b] + ras
                 prep = (earliest_close - start) if earliest_close > start else 0
                 prep += rp + rcd
@@ -476,6 +526,7 @@ def run_kernel(machine, fin):
             ev1 += 1
         s1.append(key)
         f1 += 1
+    now += tail  # the last line's synonym cycles
     for j in misses[retire_at:]:
         if completion[j] < 0:
             chj = ch_l[j]
@@ -495,9 +546,7 @@ def run_kernel(machine, fin):
     col_mask = orient_arr == _COL_TAG
     gat_mask = orient_arr == _GATHER_TAG
     miss_mask = first_arr
-    column_trace = bool(col_mask.any())
-    kind_obj = Orientation.COLUMN if column_trace else Orientation.ROW
-    want_idx_mask = (1 << _WANT_SHIFT) - 1
+    want_idx_mask = _KIND_BIT - 1
     for ch in range(n_channels):
         ctrl = memory.controllers[ch]
         st = ctrl.stats
@@ -538,6 +587,7 @@ def run_kernel(machine, fin):
         st.buffer_hits = hits_c[ch]
         st.buffer_empty_misses = empty_c[ch]
         st.buffer_conflicts = confl_c[ch]
+        st.orientation_switches = switch_c[ch]
         st.activations = actv_c[ch]
         st.queue_occupancy_sum = occ_sum[ch]
         st.queue_occupancy_samples = serviced
@@ -558,12 +608,13 @@ def run_kernel(machine, fin):
             if want < 0:
                 continue  # bank never touched; stays at power-on state
             bank = banks[bi]
-            sub = want >> _WANT_SHIFT
+            kind = Orientation.COLUMN if want & _KIND_BIT else Orientation.ROW
+            sub = want >> (_WANT_SHIFT + 1)
             index = want & want_idx_mask
-            bank.open_kind = kind_obj
+            bank.open_kind = kind
             bank.open_subarray = sub
             bank.open_index = index
-            bank.open_entry = (kind_obj, sub, index)
+            bank.open_entry = (kind, sub, index)
             bank.ready_at = br[bi]
             bank.activated_at = ba[bi]
             bank.accesses = bacc[bi]
@@ -586,12 +637,13 @@ def run_kernel(machine, fin):
     # lines are built only if something reads them (see defer_contents).
     l1.defer_contents(functools.partial(_build_upper, l1k))
     l2.defer_contents(functools.partial(_build_upper, l2k))
-    l3.defer_contents(functools.partial(_build_llc, keys_l, first_arr, l3_hits))
-    if hierarchy.synonym is not None:
-        # Single orientation (eligibility): every LLC fill bumped one tag
-        # of the resolver's counts and did nothing else (no eviction, no
-        # crossing bit), so one bulk write stands in for its on_fill calls.
-        hierarchy.synonym.resident[int(keys_l[0] >> SPACE_SHIFT)] = n_unique
+    l3.defer_contents(
+        functools.partial(_build_llc, keys_l, first_arr, l3_hits, crossing)
+    )
+    synonym_cycles = 0
+    if synonym is not None:
+        # One bulk commit stands in for the fills' on_fill calls.
+        synonym_cycles = synonym.add_fills(fills)
 
     # -- result ---------------------------------------------------------------
     result = RunResult()
@@ -605,7 +657,7 @@ def run_kernel(machine, fin):
     result.l3_hits = r_l3
     result.llc_misses = n_unique
     result.writebacks = 0
-    result.synonym_cycles = 0
+    result.synonym_cycles = synonym_cycles
     with obs.span("controller.drain") as dsp:
         # Everything was serviced in the loop; draining the real
         # controllers is a no-op that reports the last bus time.
@@ -614,8 +666,8 @@ def run_kernel(machine, fin):
             dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
     result.memory = memory.stats.snapshot()
     result.caches = hierarchy.stats_by_level()
-    if hierarchy.synonym is not None:
-        result.synonym = hierarchy.synonym.stats.snapshot()
+    if synonym is not None:
+        result.synonym = synonym.stats.snapshot()
     return result
 
 
@@ -629,10 +681,11 @@ def _build_upper(flat, cache):
                 cache_set[key] = CacheLine(key)
 
 
-def _build_llc(keys_l, first_arr, hit_lines, llc):
+def _build_llc(keys_l, first_arr, hit_lines, crossing, llc):
     """Fill the LLC by replaying its touches in trace order: a line's first
     occurrence fills it and each LLC hit refreshes it, so every set ends in
-    last-touch (LRU) order.  The LLC never evicts under the kernel."""
+    last-touch (LRU) order.  The LLC never evicts under the kernel.  Each
+    line gets its final crossing mask (``crossing``, by key) as it fills."""
     touched = first_arr.copy()
     touched[np.array(hit_lines, dtype=np.intp)] = True
     lines = np.flatnonzero(touched)
@@ -641,6 +694,7 @@ def _build_llc(keys_l, first_arr, hit_lines, llc):
         key = keys_l[i]
         cache_set = llc.writable_set(key & mask)
         if first:
-            cache_set[key] = CacheLine(key)
+            cache_set[key] = line = CacheLine(key)
+            line.crossing = crossing.get(key, 0)
         else:
             cache_set.move_to_end(key)

@@ -44,8 +44,10 @@ from repro.workloads.suite import build_benchmark_database
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 SYSTEMS = ("RC-NVM", "RRAM", "GS-DRAM", "DRAM")
 #: A cross-section of the suite: row scans, column scans, gathers,
-#: selective point lookups, and updates (writes + unpins).
-QIDS = ("Q1", "Q3", "Q4", "Q6", "Q10", "Q12")
+#: selective point lookups, a column scan followed by row fetches of the
+#: same tuples (Q2: both orientations, crossing checks on RC-NVM), and
+#: updates (writes + unpins).
+QIDS = ("Q1", "Q2", "Q3", "Q4", "Q6", "Q10", "Q12")
 
 
 def _query_traces(db, qids=QIDS):
@@ -98,6 +100,8 @@ def test_kernel_replay_is_bit_for_bit(system_name):
         assert batched_state == replayed_state, (system_name, qid)
     # Otherwise a gate that never fires would compare batched with batched.
     assert eligible, system_name
+    if system_name == "RC-NVM":
+        assert "Q2" in eligible  # mixed orientations with a synonym tracker
 
 
 def _assert_same_multicore_result(precise, batched, label):
@@ -221,7 +225,8 @@ def test_random_multicore_traces_replay_identically(case):
 #: A single-core stack for the same ~50 lines per address space: 1 KiB
 #: L1, 2 KiB L2 and 4 KiB L3, all 2-way.  L1 and L2 sets overflow on
 #: every system; an L3 set overflows only when row and column (or row
-#: and gather) keys share it, so kernel-shaped traces always fit.
+#: and gather) keys share it, so single-orientation traces always fit
+#: and mixed ones often do.
 _SC_CACHES = dict(l1_kib=1, l2_kib=2, l3_kib=4, ways=2)
 _READ_OPS = (Op.READ, Op.CREAD, Op.GATHER)
 
@@ -229,17 +234,18 @@ _READ_OPS = (Op.READ, Op.CREAD, Op.GATHER)
 @st.composite
 def _single_core_traces(draw):
     """A small system, one access list for it and a follow-up list to
-    replay warm.  Half the first lists are kernel-shaped: one read op, no
-    barrier, pin or unpin."""
+    replay warm.  Half the first lists are kernel-shaped: the system's
+    read ops (READ and CREAD, or READ and GATHER), no barrier, pin or
+    unpin."""
     system = draw(st.sampled_from(sorted(_MC_SYSTEMS)))
     _factory, ops, unpin_orientations = _MC_SYSTEMS[system]
     follow_up = st.lists(_access(ops, unpin_orientations), max_size=30)
     if not draw(st.booleans()):
         trace = draw(st.lists(_access(ops, unpin_orientations), max_size=60))
         return system, trace, draw(follow_up)
-    op = draw(st.sampled_from([op for op in ops if op in _READ_OPS]))
+    read_ops = tuple(op for op in ops if op in _READ_OPS)
     accesses = draw(
-        st.lists(_access((op,), unpin_orientations), min_size=1, max_size=60)
+        st.lists(_access(read_ops, unpin_orientations), min_size=1, max_size=60)
     )
     return system, [
         Access(access.op, access.address, access.size, access.gap, coord=access.coord)
@@ -258,22 +264,29 @@ def test_random_single_core_traces_replay_identically(case):
     """The reference on access lists, the batched loop on finalized traces
     and ``Machine.run`` on buffers (the kernel whenever ``kernel_eligible``
     admits the first trace) give the same results and end in the same
-    simulator state.  The follow-up replays warm before any state is read,
-    so its own reads build whatever contents the kernel left pending."""
+    simulator state, with clean crossing bits after each replay.  The
+    audit builds only the LLC, so the follow-up's own reads build the
+    upper levels the kernel left pending."""
     system, trace, follow_up = case
     precise_machine = _single_core_machine(system, PreciseMachine)
     batched_machine = _single_core_machine(system)
     machine = _single_core_machine(system)
+    machines = (precise_machine, batched_machine, machine)
     for accesses in (trace, follow_up):
         buffer = TraceBuffer()
         buffer.extend(accesses)
         fin = buffer.finalize()
         if accesses is trace:
-            event(f"kernel_eligible={kernel_eligible(machine, fin)}")
+            mixed = len(set(fin.line_orient.tolist())) > 1
+            event(f"kernel_eligible={kernel_eligible(machine, fin)} mixed={mixed}")
         precise = precise_machine.run(accesses)
         batched = batched_machine._run_batched(fin)
         replayed = machine.run(buffer)
         assert precise == batched == replayed, system
+        for each in machines:
+            synonym = each.hierarchy.synonym
+            if synonym is not None:
+                assert synonym.problems(each.hierarchy.llc) == [], system
     state = simulator_state(precise_machine)
     assert state == simulator_state(batched_machine), system
     assert state == simulator_state(machine), system

@@ -11,12 +11,13 @@ import weakref
 
 import pytest
 
-from replay_oracle import simulator_state
+from replay_oracle import PreciseMachine, simulator_state
 from repro.cache.cache import Cache, _PendingCache
 from repro.cache.line import CacheLine
+from repro.cache.synonym import SynonymDirectory
 from repro.cpu.replaykernel import kernel_eligible
-from repro.cpu.trace import Op
-from repro.cpu.tracebuffer import TraceBuffer
+from repro.cpu.trace import Access, Op
+from repro.cpu.tracebuffer import TraceBuffer, as_finalized
 from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.imdb.database import Database
 
@@ -117,16 +118,34 @@ class TestEligibility:
         db.reset_timing()
         assert not kernel_eligible(db.machine, fin)
 
-    def test_mixed_orientation_with_synonym_falls_back(self):
-        # RC-NVM arms a synonym tracker; a trace mixing row and column
-        # lines could charge crossing cycles the flat model skips.
+    @pytest.mark.parametrize(
+        "column_address, copies", ((0x0, 1), (0x40, 0)), ids=("crossed", "uncrossed")
+    )
+    def test_mixed_orientation_with_synonym_is_admitted(self, column_address, copies):
+        # RC-NVM arms a synonym tracker.  The column line's fill runs one
+        # crossing check: column line 0 shares a word with row line 0 (one
+        # copy), column line 0x40 crosses rows 8-15 (none).  Its cycles
+        # land after the trace's last line, and the bank switches from its
+        # row buffer to its column buffer.
         db = _small_db("RC-NVM")
-        buffer = TraceBuffer()
-        buffer.emit(int(Op.READ), 0x0, 64, 1)
-        buffer.emit(int(Op.CREAD), 0x40, 64, 1)
-        fin = buffer.finalize()
+        accesses = [
+            Access(Op.READ, 0x0, 64, 1), Access(Op.CREAD, column_address, 64, 1)
+        ]
         db.reset_timing()
-        assert not kernel_eligible(db.machine, fin)
+        machine = PreciseMachine(db.memory, db.hierarchy, window=db.window)
+        precise = machine.run(accesses)
+        precise_state = simulator_state(db.machine)
+        fin = as_finalized(accesses)
+        db.reset_timing()
+        assert kernel_eligible(db.machine, fin)
+        assert db.machine.run(fin) == precise
+        assert simulator_state(db.machine) == precise_state
+        assert precise.synonym["crossing_checks"] == 1
+        assert precise.synonym["crossing_copies"] == copies
+        assert precise.synonym_cycles == (
+            SynonymDirectory.PROBE_BATCH_COST + SynonymDirectory.COPY_COST * copies
+        )
+        assert precise.memory["orientation_switches"] == 1
 
     def test_fallback_still_replays_correctly(self):
         # A pure-read trace can fall back too (here: LLC-set overflow).

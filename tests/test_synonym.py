@@ -1,12 +1,18 @@
 """Crossing-bit synonym machinery (paper Section 4.3, Figure 8)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from repro.cache.line import key_orientation, line_key
+from repro.cache.cache import Cache
+from repro.cache.line import CacheLine, key_orientation, line_key, line_key_from_index
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import AddressMapper, Coordinate, Orientation
-from repro.geometry import SMALL_RCNVM_GEOMETRY, WORDS_PER_LINE
+from repro.geometry import (
+    CACHE_LINE_BYTES,
+    RCNVM_GEOMETRY,
+    SMALL_RCNVM_GEOMETRY,
+    WORDS_PER_LINE,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +87,77 @@ class TestCrossingGeometry:
             coord = mapper.decode_col(key_address(cross_key))
             assert coord.subarray == 1
             assert coord.bank == 2
+
+
+_GEOMETRIES = pytest.mark.parametrize(
+    "geometry", (SMALL_RCNVM_GEOMETRY, RCNVM_GEOMETRY), ids=("small", "full")
+)
+
+
+def _row_or_column_keys(geometry, min_size=0):
+    """Row and column line keys anywhere in ``geometry``."""
+    key = st.builds(
+        line_key_from_index,
+        st.integers(0, geometry.total_bytes // CACHE_LINE_BYTES - 1),
+        st.sampled_from((Orientation.ROW, Orientation.COLUMN)),
+    )
+    return st.lists(key, min_size=min_size, max_size=40)
+
+
+class TestBulkCrossingKeys:
+    """``crossing_keys_bulk`` is ``crossing_keys`` for many keys at once."""
+
+    @_GEOMETRIES
+    @given(data=st.data())
+    def test_matches_scalar_crossing_keys(self, geometry, data):
+        directory = SynonymDirectory(AddressMapper(geometry))
+        keys = data.draw(_row_or_column_keys(geometry, min_size=1))
+        cross, word_in_other = directory.crossing_keys_bulk(keys)
+        assert cross.shape == (len(keys), WORDS_PER_LINE)
+        for key, row, other in zip(keys, cross.tolist(), word_in_other.tolist()):
+            assert directory.crossing_keys(key) == [
+                (cross_key, word, other) for word, cross_key in enumerate(row)
+            ]
+
+
+class TestReadFills:
+    """``read_fills`` plus ``add_fills`` equal one ``on_fill`` per key on
+    an LLC that never evicts: cycles, crossing bits, counts and stats."""
+
+    @_GEOMETRIES
+    @given(data=st.data())
+    def test_matches_on_fill_in_order(self, geometry, data):
+        mapper = AddressMapper(geometry)
+        directory = SynonymDirectory(mapper)
+        # Seed keys plus some of their crossing lines, so fills cross.
+        seeds = data.draw(_row_or_column_keys(geometry))
+        pool = list(dict.fromkeys(
+            seeds + [
+                cross_key
+                for key in seeds
+                for cross_key, _ws, _wo in directory.crossing_keys(key)
+                if data.draw(st.booleans())
+            ]
+        ))
+        keys = data.draw(st.permutations(pool))
+        reference = SynonymDirectory(mapper)
+        ways = max(len(keys), 1)  # one set that never evicts
+        llc = Cache("L3", ways * CACHE_LINE_BYTES, ways, 0)
+        cycles = []
+        for key in keys:
+            line = CacheLine(key)
+            llc.writable_set(key & llc._set_mask)[key] = line
+            cycles.append(reference.on_fill(llc, line))
+
+        fills = directory.read_fills(keys)
+        event(f"copies={bool(fills.copies)}")
+        assert fills.cycles.tolist() == cycles
+        assert fills.crossing.tolist() == [llc.probe(key).crossing for key in keys]
+        assert directory.resident == [0, 0, 0]  # read_fills changes nothing
+        assert directory.add_fills(fills) == sum(cycles)
+        assert directory.resident == reference.resident
+        assert directory.stats == reference.stats
+        assert reference.problems(llc) == []
 
 
 class TestPricing:
