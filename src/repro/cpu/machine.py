@@ -19,7 +19,7 @@ Latency accounting:
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,6 +80,17 @@ class RunResult:
     def memory_accesses(self):
         """Total requests that reached main memory (Figure 19's metric)."""
         return self.llc_misses + self.writebacks
+
+    def simulated(self):
+        """Every field but ``spans`` and ``degradation_events``, by name:
+        what the replay simulated, not how the statement was observed.
+        Replays of one trace from the same timing reset agree on all of
+        it."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("spans", "degradation_events")
+        }
 
 
 class Machine:

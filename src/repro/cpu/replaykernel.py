@@ -8,22 +8,29 @@ cache hierarchy is modelled as per-set Python lists of line keys, the
 per-channel controllers as per-bank integer FIFOs serviced by an exact
 port of the FR-FCFS pick (including bypass counting and the starvation
 age cap), and the bank timing state machine as five integers per bank.
-After the loop the statistics, controller and bank state and synonym
-counts are written into the real objects in bulk, and each cache level's
-lines are left to a build (:meth:`~repro.cache.cache.Cache.defer_contents`)
-that runs the first time anything reads that level's sets.  A kernel run
-thus leaves behind the *identical* end state — and the identical
-``RunResult`` — the batched loop would have produced, yet costs no
-``CacheLine`` when the next ``Database.reset_timing`` drops the hierarchy
-unread, as it does before every cold-timed statement.
-``tests/test_replay_kernel.py`` and the ``tests/test_replay_equivalence.py``
-oracle pin this bit for bit.
+A replay has two halves.  :func:`_simulate` runs the loop and the bulk
+reductions and returns a flat outcome (:data:`_Outcome`) without touching
+the machine.  :func:`_commit` writes that outcome into the machine in
+bulk — statistics, controller and bank state, synonym counts — and
+leaves each cache level's lines to a build
+(:meth:`~repro.cache.cache.Cache.defer_contents`) that runs the first
+time anything reads that level's sets.  A kernel run thus leaves behind
+the *identical* end state — and the identical ``RunResult`` — the
+batched loop would have produced, yet costs no ``CacheLine`` when the
+next ``Database.reset_timing`` drops the hierarchy unread, as it does
+before every cold-timed statement.  ``tests/test_replay_kernel.py`` and
+the ``tests/test_replay_equivalence.py`` oracle pin this bit for bit.
 
-The flattened replay columns (keys, gaps, first-occurrence flags, and
-the per-line channel/bank/want-key decode) are memoized on the
-:class:`~repro.cpu.tracebuffer.FinalizedTrace` itself, so replaying a
-cached trace template again — the serving hot path — skips straight to
-the integer loop.  So is the Section 4.3 fill rule on RC-NVM
+The kernel admits only a pristine machine, and from that state the loop
+reads nothing but the trace and the machine's configuration.  So
+:func:`run_kernel` memoizes each outcome on the
+:class:`~repro.cpu.tracebuffer.FinalizedTrace`, keyed by every
+configuration value :func:`_simulate` reads (:func:`_outcome_key`):
+replaying a cached trace template again on a fresh machine of the same
+configuration — the serving hot path — skips the loop and only commits.
+The outcome holds no per-line Python list: the final L1/L2 contents and
+the LLC hits are packed into NumPy arrays, expanded only by the builds.
+On RC-NVM the loop applies the Section 4.3 fill rule in bulk
 (:meth:`~repro.cache.synonym.SynonymDirectory.read_fills`): with no LLC
 eviction and no write, each fill's crossing checks, copies and cycles
 depend on the trace alone.  A trace that mixes row and column lines
@@ -52,6 +59,7 @@ overflowing traces — replays through ``Machine._run_batched`` untouched.
 
 import functools
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -73,93 +81,80 @@ _GATHER_TAG = int(Orientation.GATHER)
 _WANT_SHIFT = 32
 _KIND_BIT = 1 << _WANT_SHIFT
 
+#: What :func:`_simulate` returns and :func:`_commit` writes:
+#:
+#: * ``cycles`` — the core's clock at the end of the run;
+#: * ``channels`` — per channel ``(stats, buckets, bus_free, banks)``: the
+#:   ``MemoryStats`` field values, the latency histogram's buckets, the
+#:   bus time and ``(index, kind, subarray, buffer index, ready_at,
+#:   activated_at, accesses, activations)`` of each touched bank;
+#: * ``levels`` — per cache level ``(hits, misses, fills, evictions)``;
+#: * ``l1_keys``, ``l2_keys`` — each level's final keys by ascending set,
+#:   LRU first within a set; ``llc_hits`` — the line indices of the LLC
+#:   hits; ``crossing`` — the crossed LLC lines' keys and final masks
+#:   (all NumPy arrays, read only by the deferred builds);
+#: * ``fills`` — the synonym fill totals for ``add_fills`` (None without
+#:   a synonym directory).
+_Outcome = namedtuple(
+    "_Outcome", "cycles channels levels l1_keys l2_keys llc_hits crossing fills"
+)
 
-def _static_columns(fin):
-    """Mapper-independent flattened replay columns, memoized on ``fin``:
-    ``(keys, gaps, first_arr, first)`` where ``first`` marks each line's
-    first occurrence (on pristine caches: a guaranteed full miss; later
-    occurrences are guaranteed hits because the LLC never evicts)."""
-    cached = fin._kernel_cache.get("static")
-    if cached is None:
-        keys_arr = fin.line_key
-        first_arr = np.zeros(keys_arr.shape[0], dtype=bool)
-        first_arr[np.unique(keys_arr, return_index=True)[1]] = True
-        cached = (
-            keys_arr.tolist(),
-            fin.line_gap.tolist(),
-            first_arr,
-            first_arr.tolist(),
-        )
-        fin._kernel_cache["static"] = cached
-    return cached
+_NO_CROSSING = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def _channel_columns(fin, memory):
     """Per-line ``(channel, bank_index, want_key)`` flat lists under one
-    memory system's mapper, memoized on ``fin``.  Gather lines decode to
-    masked zeros, so their device coordinates come from the trace's side
-    table instead."""
+    memory system's mapper.  Gather lines decode to masked zeros, so their
+    device coordinates come from the trace's side table instead."""
     mapper = memory.mapper
-    cached = fin._kernel_cache.get(mapper)
-    if cached is None:
-        banks_per_rank = memory.geometry.banks
-        orient_arr = fin.line_orient.astype(np.int64)
-        dch, drk, dbk, dsa, drow, dcol = fin.decoded_arrays_for(mapper)
-        is_col = orient_arr == _COL_TAG
-        idx_arr = np.where(is_col, dcol, drow)
-        want_arr = (
-            (dsa.astype(np.int64) << 1 | is_col) << _WANT_SHIFT
-        ) | idx_arr
-        ch_l = dch.tolist()
-        bank_l = (drk * banks_per_rank + dbk).tolist()
-        want_l = want_arr.tolist()
-        gather_mask = (fin.line_special & LINE_GATHER) != 0
-        if gather_mask.any():
-            line_acc = fin.line_acc
-            coords = fin.coords
-            for li in np.nonzero(gather_mask)[0].tolist():
-                coord = coords[int(line_acc[li])]
-                ch_l[li] = coord.channel
-                bank_l[li] = coord.rank * banks_per_rank + coord.bank
-                want_l[li] = (coord.subarray << 1 << _WANT_SHIFT) | coord.row
-        cached = (ch_l, bank_l, want_l)
-        fin._kernel_cache[mapper] = cached
-    return cached
+    banks_per_rank = mapper.geometry.banks
+    orient_arr = fin.line_orient.astype(np.int64)
+    dch, drk, dbk, dsa, drow, dcol = fin.decoded_arrays_for(mapper)
+    is_col = orient_arr == _COL_TAG
+    idx_arr = np.where(is_col, dcol, drow)
+    want_arr = ((dsa.astype(np.int64) << 1 | is_col) << _WANT_SHIFT) | idx_arr
+    ch_l = dch.tolist()
+    bank_l = (drk * banks_per_rank + dbk).tolist()
+    want_l = want_arr.tolist()
+    gather_mask = (fin.line_special & LINE_GATHER) != 0
+    if gather_mask.any():
+        line_acc = fin.line_acc
+        coords = fin.coords
+        for li in np.nonzero(gather_mask)[0].tolist():
+            coord = coords[int(line_acc[li])]
+            ch_l[li] = coord.channel
+            bank_l[li] = coord.rank * banks_per_rank + coord.bank
+            want_l[li] = (coord.subarray << 1 << _WANT_SHIFT) | coord.row
+    return ch_l, bank_l, want_l
 
 
-def _synonym_columns(fin, synonym, gaps_l, first_arr):
-    """The Section 4.3 fill rule over the whole trace, memoized on ``fin``
-    per mapper: ``(gaps, tail, crossing, fills)``.
+def _synonym_columns(fin, synonym, first_arr):
+    """The Section 4.3 fill rule over the whole trace: ``(gaps, tail,
+    crossing, fills)``.
 
     ``fills`` is :meth:`SynonymDirectory.read_fills` of the trace's LLC
-    fills (each line's first occurrence, in order).  ``gaps`` adds each
-    fill's cycles to the next line's gap, and ``tail`` holds the last
-    line's: the batched loop adds them right after the line's window
-    retire, and nothing reads the clock again before the next gap.
-    ``crossing`` maps each crossed line's key to its final crossing mask.
-    A trace with no crossing check keeps the static gap list ``gaps_l``."""
-    cache_key = ("synonym", synonym.mapper)
-    cached = fin._kernel_cache.get(cache_key)
-    if cached is None:
-        fill_lines = np.flatnonzero(first_arr)
-        fill_keys = fin.line_key[fill_lines]
-        fills = synonym.read_fills(fill_keys)
-        tail = 0
-        crossing = {}
-        if fills.checks:
-            gaps = np.append(fin.line_gap, 0)
-            gaps[fill_lines + 1] += fills.cycles
-            tail = int(gaps[-1])
-            gaps_l = gaps[:-1].tolist()
-            crossed = np.flatnonzero(fills.crossing)
-            crossing = dict(zip(
-                fill_keys[crossed].tolist(), fills.crossing[crossed].tolist()
-            ))
-        # The per-fill arrays are folded in; add_fills needs the totals.
-        fills = fills._replace(cycles=None, crossing=None)
-        cached = (gaps_l, tail, crossing, fills)
-        fin._kernel_cache[cache_key] = cached
-    return cached
+    fills (each line's first occurrence, in order), reduced to the totals
+    ``add_fills`` needs.  ``gaps`` adds each fill's cycles to the next
+    line's gap, and ``tail`` holds the last line's: the batched loop adds
+    them right after the line's window retire, and nothing reads the
+    clock again before the next gap.  ``crossing`` is the crossed lines'
+    keys and final crossing masks."""
+    fill_lines = np.flatnonzero(first_arr)
+    fill_keys = fin.line_key[fill_lines]
+    fills = synonym.read_fills(fill_keys)
+    gaps = fin.line_gap
+    tail = 0
+    crossing = _NO_CROSSING
+    if fills.checks:
+        gaps = np.append(gaps, 0)
+        gaps[fill_lines + 1] += fills.cycles
+        tail = int(gaps[-1])
+        gaps = gaps[:-1]
+        crossed = np.flatnonzero(fills.crossing)
+        crossing = (fill_keys[crossed], fills.crossing[crossed])
+    # The per-fill arrays are folded in; add_fills needs the totals.
+    fills = fills._replace(cycles=None, crossing=None)
+    return gaps.tolist(), tail, crossing, fills
 
 
 def kernel_eligible(machine, fin, stream=None):
@@ -235,7 +230,7 @@ def kernel_eligible(machine, fin, stream=None):
     # Fresh stats imply empty sets, without reading one: a set only leaves
     # EMPTY_SET through ``Cache.writable_set``, whose fill callers
     # (install, fill_absent_read and this kernel's deferred builds) all
-    # come with counted ``fills`` (run_kernel writes its fills before it
+    # come with counted ``fills`` (_commit writes its fills before it
     # defers the build), so fills == 0 means no line was cached since the
     # last construction or reset, and a level still waiting for its build
     # is never fresh.
@@ -269,38 +264,85 @@ def kernel_eligible(machine, fin, stream=None):
     return True
 
 
+def _outcome_key(machine):
+    """Every machine value :func:`_simulate` reads: the memory geometry
+    (channels, banks and the mapper's decode), the MSHR window, the L2
+    and LLC hit latencies, the L1 and L2 sets and ways, each controller's
+    age cap, the bank timing and the synonym directory's geometry (None
+    without one).  From the pristine state :func:`kernel_eligible`
+    admits, an outcome depends on the trace and these alone.  The LLC's
+    sets and ways are not among them: an admitted trace never evicts from
+    the LLC, and its deferred build reads the LLC's own set mask.  A
+    value :func:`_simulate` newly reads must join this key."""
+    memory = machine.memory
+    hierarchy = machine.hierarchy
+    l1, l2, _l3 = hierarchy.levels
+    bank = memory.controllers[0].banks[0]
+    synonym = hierarchy.synonym
+    return (
+        "outcome",
+        memory.mapper.geometry,
+        machine.window,
+        machine._hit_costs[1],
+        machine._llc_latency,
+        (l1.num_sets, l1.ways, l2.num_sets, l2.ways),
+        tuple(ctrl.age_cap for ctrl in memory.controllers),
+        (bank._cas_cpu, bank._rcd_cpu, bank._rp_cpu, bank._ras_cpu, bank._burst_cpu),
+        None if synonym is None else synonym.mapper.geometry,
+    )
+
+
 def run_kernel(machine, fin):
     """Replay an eligible finalized trace; returns a ``RunResult``.
 
     Caller must have checked :func:`kernel_eligible` (and the
-    column/gather capability of the memory system) first.
+    column/gather capability of the memory system) first.  The outcome
+    is memoized on ``fin`` under :func:`_outcome_key`, so a repeat on a
+    fresh machine of the same configuration only runs :func:`_commit`.
     """
-    from repro.cpu.machine import RunResult
+    key = _outcome_key(machine)
+    outcome = fin._kernel_cache.get(key)
+    if outcome is None:
+        outcome = fin._kernel_cache[key] = _simulate(machine, fin)
+    return _commit(machine, fin, outcome)
 
+
+def _simulate(machine, fin):
+    """Replay ``fin`` on ``machine``'s configuration from pristine state;
+    returns its :data:`_Outcome` and changes nothing in the machine."""
     memory = machine.memory
     hierarchy = machine.hierarchy
-    geometry = memory.geometry
+    geometry = memory.mapper.geometry
     n_banks = geometry.ranks * geometry.banks
     n_channels = geometry.channels
     window = machine.window
-    llc_latency = machine._llc_latency
     hit2 = machine._hit_costs[1]
-    hit3 = machine._hit_costs[2]
+    # On the three-level stack eligibility admits, the LLC's hit latency
+    # is both the cost of an LLC hit and the lookup before a miss.
+    llc_latency = machine._llc_latency
 
+    # -- flattened replay columns --------------------------------------------
+    # ``first`` marks each line's first occurrence: on pristine caches a
+    # guaranteed full miss; later occurrences are guaranteed hits because
+    # the LLC never evicts.
     keys_arr = fin.line_key
     n_lines_total = keys_arr.shape[0]
-    keys_l, gaps_l, first_arr, first_l = _static_columns(fin)
+    first_arr = np.zeros(n_lines_total, dtype=bool)
+    first_arr[np.unique(keys_arr, return_index=True)[1]] = True
+    keys_l = keys_arr.tolist()
+    first_l = first_arr.tolist()
     ch_l, bank_l, want_l = _channel_columns(fin, memory)
     synonym = hierarchy.synonym
     tail = 0
-    crossing = {}
-    if synonym is not None:
-        gaps_l, tail, crossing, fills = _synonym_columns(
-            fin, synonym, gaps_l, first_arr
-        )
+    crossing = _NO_CROSSING
+    fills = None
+    if synonym is None:
+        gaps_l = fin.line_gap.tolist()
+    else:
+        gaps_l, tail, crossing, fills = _synonym_columns(fin, synonym, first_arr)
 
     # -- flat cache model ----------------------------------------------------
-    l1, l2, l3 = hierarchy.levels
+    l1, l2, _l3 = hierarchy.levels
     m1, m2 = l1._set_mask, l2._set_mask
     w1, w2 = l1.ways, l2.ways
     l1k = [[] for _ in range(l1.num_sets)]
@@ -514,7 +556,7 @@ def run_kernel(machine, fin):
             f1 += 1
             continue
         r_l3 += 1
-        now += hit3
+        now += llc_latency
         l3_hits.append(i)
         if len(s2) >= w2:
             del s2[0]
@@ -536,7 +578,7 @@ def run_kernel(machine, fin):
         if c > now:
             now = c
 
-    # -- write controller state back into the real objects -------------------
+    # -- per-channel controller and bank state --------------------------------
     comp_arr = np.array(completion, dtype=np.int64)
     arr_arr = np.array(arrival, dtype=np.int64)
     lat_arr = comp_arr - arr_arr
@@ -545,27 +587,18 @@ def run_kernel(machine, fin):
     row_mask = orient_arr == _ROW_TAG
     col_mask = orient_arr == _COL_TAG
     gat_mask = orient_arr == _GATHER_TAG
-    miss_mask = first_arr
     want_idx_mask = _KIND_BIT - 1
+    channels = []
     for ch in range(n_channels):
-        ctrl = memory.controllers[ch]
-        st = ctrl.stats
-        mask = miss_mask & (chan_arr == ch)
+        mask = first_arr & (chan_arr == ch)
         serviced = int(mask.sum())
+        lats = lat_arr[mask]
+        # Bulk latency histogram: the bucket of a positive latency is its
+        # bit length, which is frexp's exponent (exact for the int64
+        # magnitudes a replay can produce).
+        buckets = {}
         if serviced:
-            st.reads = serviced
-            st.row_oriented = int((mask & row_mask).sum())
-            st.col_oriented = int((mask & col_mask).sum())
-            st.gathers = int((mask & gat_mask).sum())
-            st.bus_busy_cycles = serviced * burst
-            lats = lat_arr[mask]
-            st.total_latency_cycles = int(lats.sum())
-            # Bulk latency histogram: the bucket of a positive latency is
-            # its bit length, which is frexp's exponent (exact for the
-            # int64 magnitudes a replay can produce).
-            hist = st.latency_hist
             positive = lats > 0
-            buckets = {}
             zeros = serviced - int(positive.sum())
             if zeros:
                 buckets[0] = zeros
@@ -573,96 +606,145 @@ def run_kernel(machine, fin):
             for bucket, count in enumerate(np.bincount(exponents).tolist()):
                 if count:
                     buckets[bucket] = count
-            hist.buckets = buckets
-            hist.count = serviced
-            # Kernel traces are pure reads, so the read-latency slice is
-            # the whole distribution.
-            rhist = st.read_latency_hist
-            rhist.buckets = dict(buckets)
-            rhist.count = serviced
-        # Kernel eligibility rejects tiered memory, so every serviced
-        # request belongs to the NVM tier (see MemoryStats tier partition).
-        st.tier_nvm_accesses = serviced
-        st.tier_nvm_hits = hits_c[ch]
-        st.buffer_hits = hits_c[ch]
-        st.buffer_empty_misses = empty_c[ch]
-        st.buffer_conflicts = confl_c[ch]
-        st.orientation_switches = switch_c[ch]
-        st.activations = actv_c[ch]
-        st.queue_occupancy_sum = occ_sum[ch]
-        st.queue_occupancy_samples = serviced
-        st.max_queue_occupancy = occ_max[ch]
-        st.max_bank_queue_occupancy = bankq_max[ch]
-        st.max_bypass = maxbyp[ch]
-        st.starvation_cap_hits = starv_hits[ch]
-        ctrl.bus_free = bus_free[ch]
-        ctrl._seq = itertools.count(serviced)
-        bo = bank_open[ch]
-        br = bank_ready[ch]
-        ba = bank_act_at[ch]
-        bacc = bank_accs[ch]
-        bact = bank_actvs[ch]
-        banks = ctrl.banks
-        for bi in range(n_banks):
-            want = bo[bi]
+        stats = {
+            "reads": serviced,
+            "row_oriented": int((mask & row_mask).sum()),
+            "col_oriented": int((mask & col_mask).sum()),
+            "gathers": int((mask & gat_mask).sum()),
+            "bus_busy_cycles": serviced * burst,
+            "total_latency_cycles": int(lats.sum()),
+            # Kernel eligibility rejects tiered memory, so every serviced
+            # request belongs to the NVM tier (see MemoryStats tier
+            # partition).
+            "tier_nvm_accesses": serviced,
+            "tier_nvm_hits": hits_c[ch],
+            "buffer_hits": hits_c[ch],
+            "buffer_empty_misses": empty_c[ch],
+            "buffer_conflicts": confl_c[ch],
+            "orientation_switches": switch_c[ch],
+            "activations": actv_c[ch],
+            "queue_occupancy_sum": occ_sum[ch],
+            "queue_occupancy_samples": serviced,
+            "max_queue_occupancy": occ_max[ch],
+            "max_bank_queue_occupancy": bankq_max[ch],
+            "max_bypass": maxbyp[ch],
+            "starvation_cap_hits": starv_hits[ch],
+        }
+        banks = []
+        for bi, want in enumerate(bank_open[ch]):
             if want < 0:
                 continue  # bank never touched; stays at power-on state
-            bank = banks[bi]
-            kind = Orientation.COLUMN if want & _KIND_BIT else Orientation.ROW
-            sub = want >> (_WANT_SHIFT + 1)
-            index = want & want_idx_mask
+            banks.append((
+                bi,
+                Orientation.COLUMN if want & _KIND_BIT else Orientation.ROW,
+                want >> (_WANT_SHIFT + 1),
+                want & want_idx_mask,
+                bank_ready[ch][bi],
+                bank_act_at[ch][bi],
+                bank_accs[ch][bi],
+                bank_actvs[ch][bi],
+            ))
+        channels.append((stats, buckets, bus_free[ch], tuple(banks)))
+
+    n_unique = int(first_arr.sum())
+    return _Outcome(
+        cycles=now,
+        channels=tuple(channels),
+        levels=(
+            (r_l1, n_lines_total - r_l1, n_unique + f1, ev1),
+            (r_l2, n_lines_total - r_l1 - r_l2, n_unique + f2, ev2),
+            (r_l3, n_unique, n_unique, 0),
+        ),
+        l1_keys=_packed(l1k),
+        l2_keys=_packed(l2k),
+        llc_hits=np.array(l3_hits, dtype=np.intp),
+        crossing=crossing,
+        fills=fills,
+    )
+
+
+def _packed(sets):
+    """Per-set key lists as one array: ascending set, LRU first."""
+    return np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64)
+
+
+def _commit(machine, fin, outcome):
+    """Write ``outcome`` into ``machine`` (pristine, as
+    :func:`kernel_eligible` checked) and build the ``RunResult``.
+
+    Every mutable object it leaves behind is new (statistics' bucket
+    dicts, each controller's sequence counter, the result and its
+    snapshots), so nothing written here can alter the memoized outcome."""
+    from repro.cpu.machine import RunResult
+
+    memory = machine.memory
+    hierarchy = machine.hierarchy
+    for ctrl, (stats, buckets, bus_free, banks) in zip(
+        memory.controllers, outcome.channels
+    ):
+        st = ctrl.stats
+        for name, value in stats.items():
+            setattr(st, name, value)
+        # Kernel traces are pure reads, so the read-latency slice is the
+        # whole distribution.
+        serviced = stats["reads"]
+        for hist in (st.latency_hist, st.read_latency_hist):
+            hist.buckets = dict(buckets)
+            hist.count = serviced
+        ctrl.bus_free = bus_free
+        ctrl._seq = itertools.count(serviced)
+        ctrl_banks = ctrl.banks
+        for bi, kind, sub, index, ready, activated, accesses, activations in banks:
+            bank = ctrl_banks[bi]
             bank.open_kind = kind
             bank.open_subarray = sub
             bank.open_index = index
             bank.open_entry = (kind, sub, index)
-            bank.ready_at = br[bi]
-            bank.activated_at = ba[bi]
-            bank.accesses = bacc[bi]
-            bank.activations = bact[bi]
+            bank.ready_at = ready
+            bank.activated_at = activated
+            bank.accesses = accesses
+            bank.activations = activations
 
     # -- cache state: stats now, lines on first read -------------------------
-    n_unique = int(miss_mask.sum())
-    l1.stats.hits = r_l1
-    l1.stats.misses = n_lines_total - r_l1
-    l1.stats.fills = n_unique + f1
-    l1.stats.evictions = ev1
-    l2.stats.hits = r_l2
-    l2.stats.misses = n_lines_total - r_l1 - r_l2
-    l2.stats.fills = n_unique + f2
-    l2.stats.evictions = ev2
-    l3.stats.hits = r_l3
-    l3.stats.misses = n_unique
-    l3.stats.fills = n_unique
+    levels = hierarchy.levels
+    for level, (hits, misses, fills, evictions) in zip(levels, outcome.levels):
+        st = level.stats
+        st.hits = hits
+        st.misses = misses
+        st.fills = fills
+        st.evictions = evictions
     # Usually the next ``reset_timing`` drops the hierarchy unread, so the
     # lines are built only if something reads them (see defer_contents).
-    l1.defer_contents(functools.partial(_build_upper, l1k))
-    l2.defer_contents(functools.partial(_build_upper, l2k))
-    l3.defer_contents(
-        functools.partial(_build_llc, keys_l, first_arr, l3_hits, crossing)
-    )
+    l1, l2, l3 = levels
+    l1.defer_contents(functools.partial(_build_upper, outcome.l1_keys))
+    l2.defer_contents(functools.partial(_build_upper, outcome.l2_keys))
+    l3.defer_contents(functools.partial(
+        _build_llc, fin.line_key, outcome.llc_hits, outcome.crossing
+    ))
+    synonym = hierarchy.synonym
     synonym_cycles = 0
     if synonym is not None:
         # One bulk commit stands in for the fills' on_fill calls.
-        synonym_cycles = synonym.add_fills(fills)
+        synonym_cycles = synonym.add_fills(outcome.fills)
 
     # -- result ---------------------------------------------------------------
     result = RunResult()
-    result.cycles = now
+    result.cycles = outcome.cycles
     result.accesses = fin.n_accesses
     result.reads = fin.n_reads
     result.writes = fin.n_writes
     result.lines_touched = fin.n_lines
-    result.l1_hits = r_l1
-    result.l2_hits = r_l2
-    result.l3_hits = r_l3
-    result.llc_misses = n_unique
+    result.l1_hits = l1.stats.hits
+    result.l2_hits = l2.stats.hits
+    result.l3_hits = l3.stats.hits
+    result.llc_misses = l3.stats.misses
     result.writebacks = 0
     result.synonym_cycles = synonym_cycles
     with obs.span("controller.drain") as dsp:
         # Everything was serviced in the loop; draining the real
         # controllers is a no-op that reports the last bus time.
-        drained_at = max(bus_free)
         if dsp.enabled:
+            drained_at = max(bus_free for _, _, bus_free, _ in outcome.channels)
             dsp.set(end_cycles=drained_at, accesses=memory.stats.accesses)
     result.memory = memory.stats.snapshot()
     result.caches = hierarchy.stats_by_level()
@@ -672,28 +754,29 @@ def run_kernel(machine, fin):
 
 
 # -- deferred cache contents (see Cache.defer_contents) ----------------------
-def _build_upper(flat, cache):
-    """Fill an L1 or L2 from the loop's per-set key lists (LRU first)."""
-    for set_index, keys in enumerate(flat):
-        if keys:
-            cache_set = cache.writable_set(set_index)
-            for key in keys:
-                cache_set[key] = CacheLine(key)
+def _build_upper(keys, cache):
+    """Fill an L1 or L2 from its packed keys (ascending set, LRU first)."""
+    mask = cache._set_mask
+    for key in keys.tolist():
+        cache.writable_set(key & mask)[key] = CacheLine(key)
 
 
-def _build_llc(keys_l, first_arr, hit_lines, crossing, llc):
+def _build_llc(keys, hit_lines, crossed, llc):
     """Fill the LLC by replaying its touches in trace order: a line's first
     occurrence fills it and each LLC hit refreshes it, so every set ends in
     last-touch (LRU) order.  The LLC never evicts under the kernel.  Each
-    line gets its final crossing mask (``crossing``, by key) as it fills."""
-    touched = first_arr.copy()
-    touched[np.array(hit_lines, dtype=np.intp)] = True
+    line gets its final crossing mask (``crossed``: keys, masks) as it
+    fills."""
+    first = np.zeros(keys.shape[0], dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    touched = first.copy()
+    touched[hit_lines] = True
     lines = np.flatnonzero(touched)
+    crossing = dict(zip(*(column.tolist() for column in crossed)))
     mask = llc._set_mask
-    for i, first in zip(lines.tolist(), first_arr[lines].tolist()):
-        key = keys_l[i]
+    for key, fill in zip(keys[lines].tolist(), first[lines].tolist()):
         cache_set = llc.writable_set(key & mask)
-        if first:
+        if fill:
             cache_set[key] = line = CacheLine(key)
             line.crossing = crossing.get(key, 0)
         else:

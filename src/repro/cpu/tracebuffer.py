@@ -372,9 +372,10 @@ class FinalizedTrace:
         self._acc_lists = None
         self._decode_cache = {}
         self._decode_arrays = {}
-        #: Flattened replay-kernel columns, memoized per mapper/geometry
-        #: (see :mod:`repro.cpu.replaykernel`) — repeat replays of one
-        #: finalized trace skip all array->list conversion work.
+        #: The replay kernel's trace-shape verdicts and its outcomes,
+        #: memoized per machine configuration (see
+        #: :mod:`repro.cpu.replaykernel`) — a repeat replay from a timing
+        #: reset commits an outcome instead of running the loop again.
         self._kernel_cache = {}
 
     def check_capabilities(self, memory):

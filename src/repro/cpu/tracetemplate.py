@@ -7,8 +7,10 @@ serving path that regeneration dominates end-to-end cost.  The
 *statement template* (the whitespace-normalized SQL text plus the
 planner knobs that shape the plan) and per *binding* (the fully resolved
 plan, parameters baked in), so a repeat execution skips the executor
-entirely and goes straight to replay — where the finalized trace's own
-memoized replay-kernel columns make the run cheap too.
+entirely and goes straight to replay — where the replay kernel's outcome,
+memoized on the finalized trace per machine configuration, makes the run
+cheap too: a repeat on a fresh machine only commits it (see
+:mod:`repro.cpu.replaykernel`).
 
 Correctness is epoch-based, never time-based:
 
@@ -36,6 +38,8 @@ only the result is recomputed functionally.
 The cache is deliberately bypassed by ``Database.execute`` when
 durability is enabled (every statement must log WAL records) and when
 result verification is on (the point of ``verify`` is to re-execute).
+Each such statement is counted once, under the first of those reasons
+that applied (``durability_bypasses``, ``verify_bypasses``).
 """
 
 import time
@@ -62,6 +66,8 @@ class TemplateCacheStats:
         "invalidations": "counter",
         "stores": "counter",
         "rebind_ns": "counter",
+        "durability_bypasses": "counter",
+        "verify_bypasses": "counter",
         "entries": "gauge",
     }
 
@@ -74,6 +80,10 @@ class TemplateCacheStats:
         self.invalidations = 0  # entries dropped on stale epoch/version
         self.stores = 0  # bindings written (full executions + rebinds)
         self.rebind_ns = 0  # total wall time spent in rebind recomputes
+        # Database.execute calls that stood down, by the first reason that
+        # applied: durability is enabled, else verification is on.
+        self.durability_bypasses = 0
+        self.verify_bypasses = 0
         self.entries = 0  # live bindings across all templates (gauge)
 
     @property

@@ -21,13 +21,18 @@ statement the fuzz harness audits four layers:
 * **observability** — when the statement ran under a tracer
   (:mod:`repro.obs`), the exported span tree's metrics must agree with
   the run result and memory statistics they annotate
-  (:func:`_check_spans`).
+  (:func:`_check_spans`);
+* **replay** — the statement's trace, replayed again from a timing
+  reset through ``Machine.run`` (the replay kernel's memoized outcome
+  when it admitted the trace) and through the batched loop, times
+  exactly as the statement did (:func:`check_replay`).
 """
 
 import numpy as np
 
 from repro.core.addressing import Orientation
 from repro.cpu.trace import Op
+from repro.cpu.tracebuffer import as_finalized
 
 #: Geometry checks sample at most this many accesses per statement.
 _SAMPLE = 4096
@@ -108,6 +113,53 @@ def check_outcome(db, outcome):
     problems.extend(_check_spans(timing))
     problems.extend(_check_geometry(db, trace))
     return problems
+
+
+def check_replay(db, outcome):
+    """Replays of a statement's trace that time it differently, as strings.
+
+    A statement executed with fresh timing (the default) replays from a
+    timing reset, so its ``RunResult`` is a function of the trace and the
+    machine's configuration.  The trace is replayed twice more, each from
+    a new reset: through ``Machine.run``, which commits the replay
+    kernel's memoized outcome when the kernel admitted the trace, and
+    through the batched loop.  Each replay that differs from
+    ``outcome.timing`` is reported at its first differing field, leaving
+    aside ``spans`` and ``degradation_events``.  Leaves the machine in
+    the batched replay's end state.
+    """
+    timing, trace = outcome.timing, outcome.trace
+    if timing is None or trace is None:
+        return []
+    fin = as_finalized(trace)
+    expected = timing.simulated()
+    problems = []
+    for engine, replay in (
+        ("run", lambda machine: machine.run(fin)),
+        ("_run_batched", lambda machine: machine._run_batched(fin, fin.stream)),
+    ):
+        db.reset_timing()
+        replayed = replay(db.machine).simulated()
+        for name, value in expected.items():
+            if replayed[name] != value:
+                problems.append(
+                    f"Machine.{engine} replay differs in {name}"
+                    f"{_first_difference(replayed[name], value)}"
+                )
+                break
+    return problems
+
+
+def _first_difference(got, expected):
+    """Where two unequal values first differ, as text: the path of
+    dictionary keys down to the values."""
+    if isinstance(got, dict) and isinstance(expected, dict):
+        for key in sorted(set(got) | set(expected), key=str):
+            if got.get(key) != expected.get(key):
+                return f"[{key!r}]" + _first_difference(
+                    got.get(key), expected.get(key)
+                )
+    return f": {got!r} != {expected!r}"
 
 
 def check_tier_conservation(db):

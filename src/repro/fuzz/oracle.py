@@ -329,8 +329,9 @@ def run_case(case, configs=None, check_invariants=True):
 
     An empty list means the case passed: all system configs, the
     reference engine, and sqlite agreed on every statement, and every
-    execution satisfied the trace/stats invariants (including flush
-    conservation at the end of the case).
+    execution satisfied the trace/stats invariants, replayed again with
+    the same timing (including flush conservation at the end of the
+    case).
     """
     if configs is None:
         configs = list(CONFIGS.values())
@@ -420,10 +421,9 @@ def run_case(case, configs=None, check_invariants=True):
                     for p in compare_with_sqlite(config.key, norm, sq_norm)
                 )
             if check_invariants:
-                problems.extend(
-                    f"{tag} [{config.key}]: {p}"
-                    for p in invariants.check_outcome(db, outcome)
-                )
+                found = invariants.check_outcome(db, outcome)
+                found += invariants.check_replay(db, outcome)
+                problems.extend(f"{tag} [{config.key}]: {p}" for p in found)
         if stmt.get("expect_error") and ref_norm is not None \
                 and stmt["kind"] != "raw":
             problems.append(f"{tag}: expected SqlError but reference succeeded")

@@ -59,6 +59,8 @@ class ProfileResult:
     tracer: obs.Tracer
     registry: obs_metrics.MetricsRegistry
     database: object
+    #: Every repeat's ``RunResult``, in order (the last is ``outcome``'s).
+    timings: list
 
     @property
     def spans(self):
@@ -86,7 +88,8 @@ def profile_query(qid="Q7", system="RC-NVM", scale=0.1, small=False,
     With ``template_cache``, the query is served through the plan/trace
     template cache and ``repeats`` controls how many times it runs (the
     first execution misses and stores; the rest hit), so the
-    ``template_cache.*`` instruments show up in the top-N table.
+    ``template_cache.*`` instruments show up in the top-N table.  Each
+    repeat's ``RunResult`` is kept in ``timings``.
     """
     qid = resolve_query(qid)
     system = resolve_system(system)
@@ -97,15 +100,17 @@ def profile_query(qid="Q7", system="RC-NVM", scale=0.1, small=False,
         db.enable_template_cache()
     registry = obs_metrics.registry_for_database(db)
     spec = QUERIES[qid]
+    timings = []
     with obs.tracing() as tracer:
         for _ in range(max(1, repeats)):
             outcome = db.execute(
                 spec.sql, params=spec.params,
                 selectivity_hint=spec.selectivity_hint,
             )
+            timings.append(outcome.timing)
     return ProfileResult(
         qid=qid, system=system, outcome=outcome, tracer=tracer,
-        registry=registry, database=db,
+        registry=registry, database=db, timings=timings,
     )
 
 
@@ -127,11 +132,13 @@ def render_profile(profile: ProfileResult, top=12):
 def check_profile(result):
     """Span/stats consistency violations of one profile, as strings.
 
-    ``result`` is :meth:`ProfileResult.to_dict`, plus ``template_hits``
-    and ``repeats`` when the query was served through the template cache.
-    The root span's simulated totals must equal the run's ``MemoryStats``
-    numbers, the Chrome-trace export must be structurally valid, and
-    every repeat after the first must hit the template cache.
+    ``result`` is :meth:`ProfileResult.to_dict`, plus ``template_hits``,
+    ``repeats`` and ``repeat_timings`` (each repeat's
+    :meth:`~repro.cpu.machine.RunResult.simulated` fields) when the query
+    was served through the template cache.  The root span's simulated
+    totals must equal the run's ``MemoryStats`` numbers, the Chrome-trace
+    export must be structurally valid, and every repeat after the first
+    must hit the template cache and time exactly as the first did.
     """
     problems = []
     memory = result["memory"]
@@ -178,13 +185,23 @@ def check_profile(result):
             f"template cache hits {result['template_hits']} != "
             f"{result['repeats'] - 1} over {result['repeats']} repeats"
         )
+    timings = result.get("repeat_timings", [])
+    for index, timing in enumerate(timings[1:], 2):
+        changed = [
+            name for name, value in timings[0].items() if timing.get(name) != value
+        ]
+        if changed:
+            problems.append(
+                f"repeat {index} timed differently from repeat 1 in "
+                f"{', '.join(changed)}"
+            )
     return problems
 
 
 def run_experiment(p):
     """The ``profile`` experiment's ``(result, table)``; the result is
-    :meth:`ProfileResult.to_dict`, plus the template-cache hits and
-    repeat count under ``p.template_cache``."""
+    :meth:`ProfileResult.to_dict`, plus the template-cache hits, repeat
+    count and each repeat's timing under ``p.template_cache``."""
     repeats = max(1, p.repeats) if p.template_cache else 1
     profile = profile_query(
         qid=p.query, system=p.system, scale=p.scale, small=p.small,
@@ -195,6 +212,7 @@ def run_experiment(p):
     if p.template_cache:
         result["template_hits"] = profile.database.template_cache.stats.hits
         result["repeats"] = repeats
+        result["repeat_timings"] = [timing.simulated() for timing in profile.timings]
     if p.chrome_out:
         with open(p.chrome_out, "w") as handle:
             json.dump(result["chrome_trace"], handle, indent=2)

@@ -422,9 +422,14 @@ class Database:
             verify = self.verify if verify is None else verify
             # The template cache stands down under durability (every
             # statement must log WAL records) and verification (the
-            # point of verify is to re-execute).
+            # point of verify is to re-execute), and counts why.
             cache = self.template_cache
             use_cache = cache is not None and self.durability is None and not verify
+            if cache is not None and not use_cache:
+                if self.durability is not None:
+                    cache.stats.durability_bypasses += 1
+                else:
+                    cache.stats.verify_bypasses += 1
             # Snapshot before the reference pass: its functional reads run the
             # same ECC demand checks, so recovery can fire there too.
             events_before = len(self.degradation_events)

@@ -72,6 +72,10 @@ PASSING = {
         "metrics": {"memory.reads": {"channel=0,system=RC-NVM": 4}},
         "template_hits": 2,
         "repeats": 3,
+        "repeat_timings": [
+            {"cycles": 900, "memory": {"accesses": 6, "row_oriented": 4}}
+            for _ in range(3)
+        ],
     },
 }
 
@@ -111,6 +115,10 @@ PLANTED = [
     ("profile", ("metrics", "memory.reads"), {"channel=1,system=RC-NVM": 4},
      "registry lacks memory.reads for channel 0"),
     ("profile", ("template_hits",), 1, "template cache hits 1 != 2"),
+    ("profile", ("repeat_timings", 2, "cycles"), 901,
+     "repeat 3 timed differently from repeat 1 in cycles"),
+    ("profile", ("repeat_timings", 1, "memory", "row_oriented"), 3,
+     "repeat 2 timed differently from repeat 1 in memory"),
 ]
 
 

@@ -18,6 +18,7 @@ multicore traces.
 
 import dataclasses
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, strategies as st
@@ -31,6 +32,7 @@ from repro.cache.hierarchy import make_hierarchy
 from repro.cache.synonym import SynonymDirectory
 from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.machine import Machine
+from repro.cpu import replaykernel
 from repro.cpu.multicore import MulticoreMachine
 from repro.cpu.replaykernel import kernel_eligible
 from repro.cpu.trace import Access, Op
@@ -266,7 +268,9 @@ def test_random_single_core_traces_replay_identically(case):
     admits the first trace) give the same results and end in the same
     simulator state, with clean crossing bits after each replay.  The
     audit builds only the LLC, so the follow-up's own reads build the
-    upper levels the kernel left pending."""
+    upper levels the kernel left pending.  A kernel-admitted trace
+    replayed again on a fresh machine of the same configuration commits
+    the memoized outcome: no simulation, the same result and state."""
     system, trace, follow_up = case
     precise_machine = _single_core_machine(system, PreciseMachine)
     batched_machine = _single_core_machine(system)
@@ -277,12 +281,16 @@ def test_random_single_core_traces_replay_identically(case):
         buffer.extend(accesses)
         fin = buffer.finalize()
         if accesses is trace:
+            eligible = kernel_eligible(machine, fin)
             mixed = len(set(fin.line_orient.tolist())) > 1
-            event(f"kernel_eligible={kernel_eligible(machine, fin)} mixed={mixed}")
+            event(f"kernel_eligible={eligible} mixed={mixed}")
         precise = precise_machine.run(accesses)
         batched = batched_machine._run_batched(fin)
         replayed = machine.run(buffer)
         assert precise == batched == replayed, system
+        if accesses is trace:
+            first, first_fin = replayed, fin
+            first_state = simulator_state(precise_machine)
         for each in machines:
             synonym = each.hierarchy.synonym
             if synonym is not None:
@@ -290,6 +298,14 @@ def test_random_single_core_traces_replay_identically(case):
     state = simulator_state(precise_machine)
     assert state == simulator_state(batched_machine), system
     assert state == simulator_state(machine), system
+    if eligible:
+        again = _single_core_machine(system)
+        with mock.patch.object(
+            replaykernel, "_simulate", wraps=replaykernel._simulate
+        ) as simulate:
+            assert again.run(first_fin) == first, system
+        simulate.assert_not_called()
+        assert simulator_state(again) == first_state, system
 
 
 #: Hypothesis found this trace: line 0 hits in LLC set 0 (after L1 and

@@ -27,7 +27,7 @@ from hypothesis.stateful import (
 from repro.core.addressing import Orientation
 from repro.cpu.machine import Machine
 from repro.cpu.multicore import MulticoreMachine
-from repro.cpu.replaykernel import kernel_eligible
+from repro.cpu.replaykernel import _outcome_key, kernel_eligible
 from repro.cpu.tracebuffer import TraceBuffer
 from repro.geometry import SMALL_RCNVM_GEOMETRY
 from repro.harness.serve import build_tenants, run_serving, tenant_mix
@@ -381,7 +381,7 @@ class TestKernelGateMultiTenant:
         fin = self._fin(db)
         fin.stream = 4
         replayed = db.machine.run(fin)
-        assert "static" not in fin._kernel_cache
+        assert _outcome_key(db.machine) not in fin._kernel_cache
         db.reset_timing()
         assert replayed == db.machine._run_batched(fin, stream=4)
 
@@ -390,7 +390,7 @@ class TestKernelGateMultiTenant:
         fin = self._fin(db)
         assert kernel_eligible(db.machine, fin)
         db.machine.run(fin)
-        assert "static" in fin._kernel_cache
+        assert _outcome_key(db.machine) in fin._kernel_cache
 
 
 # -- satellite 3: starvation counters under cross-stream bypass ----------------

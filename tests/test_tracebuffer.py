@@ -189,6 +189,7 @@ class TestDecodeCaching:
             assert column.tolist() == flat
 
     def test_repeat_replay_never_redecodes(self, monkeypatch):
+        from repro.cpu.replaykernel import _outcome_key
         from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
         from repro.imdb.database import Database
 
@@ -209,7 +210,7 @@ class TestDecodeCaching:
         for replay in ("run", "_run_batched", "run"):
             db.reset_timing()
             getattr(db.machine, replay)(fin)
-        assert "static" in fin._kernel_cache
+        assert _outcome_key(db.machine) in fin._kernel_cache
         assert len(calls) == 1
 
 

@@ -196,22 +196,54 @@ class TestInvalidation:
         assert outcome.result.value == fresh.result.value
 
 
+def make_durable_cached_db():
+    db = make_database("RC-NVM", verify=False)
+    db.enable_durability()  # must precede table creation (WAL anchor)
+    db.create_table("t", [("a", 8), ("b", 8)], layout="row")
+    db.insert_many("t", simple_rows(200, 2))
+    db.enable_template_cache()
+    return db
+
+
 class TestBypass:
     def test_verify_bypasses_the_cache(self):
         db = make_cached_db()
         db.execute(SUM_SQL, params={"x": 100}, verify=True)
         db.execute(SUM_SQL, params={"x": 100}, verify=True)
-        assert db.template_cache.stats.lookups == 0
+        stats = db.template_cache.stats
+        assert stats.lookups == 0
+        assert (stats.durability_bypasses, stats.verify_bypasses) == (0, 2)
 
     def test_durability_bypasses_the_cache(self):
-        db = make_database("RC-NVM", verify=False)
-        db.enable_durability()  # must precede table creation (WAL anchor)
-        db.create_table("t", [("a", 8), ("b", 8)], layout="row")
-        db.insert_many("t", simple_rows(200, 2))
-        db.enable_template_cache()
+        db = make_durable_cached_db()
         db.execute(SUM_SQL, params={"x": 100})
         db.execute(SUM_SQL, params={"x": 100})
-        assert db.template_cache.stats.lookups == 0
+        stats = db.template_cache.stats
+        assert stats.lookups == 0
+        assert (stats.durability_bypasses, stats.verify_bypasses) == (2, 0)
+
+    def test_durability_counts_before_verify(self):
+        db = make_durable_cached_db()
+        db.execute(SUM_SQL, params={"x": 100}, verify=True)
+        stats = db.template_cache.stats
+        assert (stats.durability_bypasses, stats.verify_bypasses) == (1, 0)
+
+    def test_served_statements_count_no_bypass(self):
+        db = make_cached_db()
+        db.execute(SUM_SQL, params={"x": 100})
+        db.execute(SUM_SQL, params={"x": 100})
+        stats = db.template_cache.stats
+        assert (stats.durability_bypasses, stats.verify_bypasses) == (0, 0)
+
+    def test_bypasses_are_exported(self):
+        from repro.obs.metrics import registry_for_database
+
+        db = make_cached_db()
+        registry = registry_for_database(db)
+        db.execute(SUM_SQL, params={"x": 100}, verify=True)
+        metrics = registry.snapshot()
+        assert metrics["template_cache.verify_bypasses"] == {"system=RC-NVM": 1}
+        assert metrics["template_cache.durability_bypasses"] == {"system=RC-NVM": 0}
 
     def test_clear_counts_invalidations(self):
         db = make_cached_db()
