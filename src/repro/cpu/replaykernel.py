@@ -164,9 +164,11 @@ def kernel_eligible(machine, fin, stream=None):
     overflow) and simulator state (pristine caches/controllers/banks,
     FR-FCFS + open-page, queues deeper than the MSHR window).  Row and
     column lines may mix: the kernel applies the synonym fill rule and
-    counts orientation switches.  Trace-shape verdicts are memoized on
-    the trace, so re-checking a cached template costs only the O(banks)
-    state probes.
+    counts orientation switches.  Every channel of a memory system runs
+    the one device timing the kernel reads from the first bank, so no
+    check on the memory system itself is needed.  Trace-shape verdicts
+    are memoized on the trace, so re-checking a cached template costs
+    only the O(banks) state probes.
 
     Multi-tenant serving is explicitly rejected rather than silently
     diverging: a nonzero ``stream`` (the replay-time tag, defaulting to
@@ -181,11 +183,6 @@ def kernel_eligible(machine, fin, stream=None):
     if stream is None:
         stream = fin.stream
     if stream:
-        return False
-    if getattr(machine.memory, "tiered", False):
-        # The kernel models one uniform device timing per system; a hybrid
-        # DRAM + NVM system mixes two, and migrations between statements
-        # invalidate the cached trace shape anyway.
         return False
     keys = fin.line_key
     if keys.shape[0] == 0:
@@ -613,11 +610,6 @@ def _simulate(machine, fin):
             "gathers": int((mask & gat_mask).sum()),
             "bus_busy_cycles": serviced * burst,
             "total_latency_cycles": int(lats.sum()),
-            # Kernel eligibility rejects tiered memory, so every serviced
-            # request belongs to the NVM tier (see MemoryStats tier
-            # partition).
-            "tier_nvm_accesses": serviced,
-            "tier_nvm_hits": hits_c[ch],
             "buffer_hits": hits_c[ch],
             "buffer_empty_misses": empty_c[ch],
             "buffer_conflicts": confl_c[ch],

@@ -16,10 +16,7 @@ Sites (see :mod:`repro.durability.manager` for where each fires):
   written (the classic torn-commit window);
 * ``mid-scrub`` — between two subarrays of a background scrub sweep;
 * ``during-remap`` — an uncorrectable-chunk remap retired the old
-  rectangle and claimed a new one, but has not rewritten the cells;
-* ``during-migration`` — a tier migration (promotion or demotion)
-  claimed the destination rectangle but has not copied the cells
-  (see :mod:`repro.memsim.tiering`).
+  rectangle and claimed a new one, but has not rewritten the cells.
 """
 
 import random
@@ -30,7 +27,6 @@ CRASH_SITES = (
     "post-flush-pre-commit",
     "mid-scrub",
     "during-remap",
-    "during-migration",
 )
 
 

@@ -66,16 +66,6 @@ def recover(crashed, verify_placement=True):
     with obs.span("durability.recover") as sp:
         records, torn = dur.scan()
         committed = {r.seq for r in records if r.rtype is RecordType.COMMIT}
-        memory = crashed.memory
-        if getattr(memory, "tiered", False):
-            # The DRAM tier is volatile: whatever the migration engine
-            # had promoted died with the power.  Replay rebuilds every
-            # committed chunk from the (non-volatile) WAL into NVM-tier
-            # placements, so the recovered database lands with each
-            # chunk wholly in exactly one tier — the NVM one.
-            crashed.physmem.clear_channels(
-                memory.nvm_channels, memory.geometry.channels
-            )
         db = Database(
             crashed.memory,
             cache_config=crashed.cache_config,

@@ -52,13 +52,6 @@ def allocated_rectangles(db):
         # The WAL rectangle is database-owned memory too: traced WAL
         # appends must land inside it, nothing else may.
         rects.extend(durability.rects())
-    # Rectangles vacated by tier migrations (or released remaps) were
-    # database-owned address space when the audited trace was captured —
-    # the migration engine may move a chunk between a statement's
-    # execution and its audit.  Retired (damaged) rectangles stay
-    # excluded: nothing may ever touch those again.
-    for p in getattr(db.allocator, "freed_placements", ()):
-        rects.append((p.bin_index, p.y, p.y + p.height, p.x, p.x + p.width))
     return rects
 
 
@@ -109,7 +102,6 @@ def check_outcome(db, outcome):
         )
     problems.extend(stats.check_conservation())
     problems.extend(db.hierarchy.check_invariants())
-    problems.extend(check_tier_conservation(db))
     problems.extend(_check_spans(timing))
     problems.extend(_check_geometry(db, trace))
     return problems
@@ -160,48 +152,6 @@ def _first_difference(got, expected):
                     got.get(key), expected.get(key)
                 )
     return f": {got!r} != {expected!r}"
-
-
-def check_tier_conservation(db):
-    """Hybrid-tier accounting (no-op on untiered memory).
-
-    Every channel controller must count traffic for exactly its own
-    tier (the aggregate partition ``dram + nvm == accesses`` is already
-    part of :meth:`MemoryStats.check_conservation`; this pins *where*
-    the counts came from), the controller's tier tag must match its
-    channel's position in the split geometry, and the migration
-    engine's ledger must be internally consistent.
-    """
-    memory = db.memory
-    if not getattr(memory, "tiered", False):
-        return []
-    problems = []
-    for channel, ctrl in enumerate(memory.controllers):
-        expected = memory.tier_of_channel(channel)
-        if ctrl.tier != expected:
-            problems.append(
-                f"channel {channel} controller tagged tier {ctrl.tier}, "
-                f"geometry says tier {expected}"
-            )
-        st = ctrl.stats
-        if ctrl.tier:
-            stray = st.tier_nvm_accesses + st.tier_nvm_hits
-            if stray:
-                problems.append(
-                    f"DRAM-tier channel {channel} recorded {stray} "
-                    "NVM-tier counts"
-                )
-        else:
-            stray = st.tier_dram_accesses + st.tier_dram_hits
-            if stray:
-                problems.append(
-                    f"NVM-tier channel {channel} recorded {stray} "
-                    "DRAM-tier counts"
-                )
-    tiering = getattr(db, "tiering", None)
-    if tiering is not None:
-        problems.extend(tiering.check_consistency())
-    return problems
 
 
 def _check_spans(timing):

@@ -56,11 +56,6 @@ CONFIGS = {
         SystemConfig("rcnvm-col", "RC-NVM", "column"),
         SystemConfig("rcnvm-col-z", "RC-NVM", "column", group_lines=2),
         SystemConfig("rcnvm-row-ecc", "RC-NVM", "row", ecc=True),
-        # Hybrid DRAM + RC-NVM tier: same statements with hot/cold chunk
-        # migration interleaving mid-case (tier-on vs every tier-off
-        # config vs sqlite must stay result-identical).
-        SystemConfig("tiered-col", "TIERED", "column"),
-        SystemConfig("tiered-row-ecc", "TIERED", "row", ecc=True),
     )
 }
 
@@ -87,13 +82,6 @@ def build_database(config: SystemConfig, case) -> Database:
             db.create_ordered_index(spec.name, field)
     if config.ecc:
         db.enable_reliability()
-    if db.tiering is not None:
-        # Aggressive migration for fuzzing: rebalance after every
-        # statement with thresholds low enough that generated workloads
-        # actually promote and demote chunks mid-case.
-        db.tiering.epoch_statements = 1
-        db.tiering.promote_threshold = 2.0
-        db.tiering.demote_threshold = 0.5
     return db
 
 

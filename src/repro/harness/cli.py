@@ -7,7 +7,7 @@ Installed as ``rcnvm-experiments``::
     rcnvm-experiments fig18 --scale 0.5
     rcnvm-experiments all --small --scale 0.25
     rcnvm-experiments serve --tenants 8 --arrival mixed
-    rcnvm-experiments tier --smoke
+    rcnvm-experiments wear --smoke
     rcnvm-experiments profile --query q7 --json q7.json
     rcnvm-experiments fuzz --seed 0 --iterations 200
 
@@ -23,7 +23,7 @@ import sys
 import time
 from typing import Callable, Mapping, Optional
 
-from repro.harness import figures, profiling, recover, reliability, serve, tiering, wear
+from repro.harness import figures, profiling, recover, reliability, serve, wear
 from repro.harness.systems import SMALL_CACHE_CONFIG
 
 
@@ -190,16 +190,6 @@ EXPERIMENTS = {
         smoke=dict(small=True, scale=0.05, statements=4, sweep=False),
         check=serve.check,
     ),
-    "tier": Experiment(
-        tiering.run_experiment,
-        dict(fraction=0.25, workload="mixed", scale=0.1, rounds=6,
-             small=False, sweep=False),
-        # At smoke scale each table is a single chunk, so the capacity
-        # budget must admit at least one whole hot table.
-        smoke=dict(small=True, scale=0.05, rounds=5, fraction=0.5,
-                   sweep=False),
-        check=tiering.check,
-    ),
     "wear": Experiment(
         wear.run_experiment,
         dict(scale=0.1, rounds=6, small=False),
@@ -235,13 +225,13 @@ def _parser():
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--smoke", action="store_true",
                         help="fixed fast run of a gated experiment (faults, "
-                             "profile, recover, serve, tier, wear); exit 1 "
+                             "profile, recover, serve, wear); exit 1 "
                              "unless its gate passes")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the results as JSON, keyed by experiment")
     parser.add_argument("--scale", type=float,
                         help="table-size scale factor (default 1.0; 0.1 for "
-                             "profile, serve, tier, wear)")
+                             "profile, serve, wear)")
     parser.add_argument("--small", action="store_true",
                         help="use the small test geometry and caches")
     parser.add_argument("--verify", action="store_true",
@@ -297,7 +287,7 @@ def _parser():
                          help="executions under --template-cache (default 3)")
     profile.add_argument("--chrome-out", metavar="PATH",
                          help="also write a Chrome trace (about:tracing)")
-    scenario = parser.add_argument_group("serve, tier, wear")
+    scenario = parser.add_argument_group("serve, wear")
     scenario.add_argument("--tenants", type=int,
                           help="serve: tenant sessions (default 4)")
     scenario.add_argument("--arrival", choices=("open", "closed", "mixed"),
@@ -306,15 +296,9 @@ def _parser():
                           help="serve: mean arrival/think gap in cycles "
                                "(default 30000)")
     scenario.add_argument("--sweep", action="store_true",
-                          help="serve: tenant-count x arrival-rate grid; "
-                               "tier: DRAM-fraction x workload grid")
-    scenario.add_argument("--fraction", type=float,
-                          help="tier: DRAM capacity as a fraction of "
-                               "allocated cells (default 0.25)")
-    scenario.add_argument("--workload", choices=("read", "mixed"),
-                          help="tier: query-only or OLXP mix (default mixed)")
+                          help="serve: tenant-count x arrival-rate grid")
     scenario.add_argument("--rounds", type=int,
-                          help="tier, wear: passes over the statement mix "
+                          help="wear: passes over the statement mix "
                                "(default 6)")
     return parser
 

@@ -8,9 +8,7 @@ and checks the recovered table state against a plain-Python oracle of
 the committed prefix.  The scrub and remap sites are reached by
 injecting an uncorrectable (double-bit) cell fault first, so the sweep
 also demonstrates that crash recovery composes with the reliability
-pipeline's chunk remapping.  The ``during-migration`` site runs on the
-hybrid tier instead: hot SELECTs drive a DRAM promotion and the
-injector kills the chunk copy mid-flight.
+pipeline's chunk remapping.
 
 A final no-crash pass over the same workload reports WAL
 write-amplification (WAL cells written per logical data word), the
@@ -33,10 +31,10 @@ CRASH_SQL = "UPDATE kv SET v = 2222 WHERE id >= 40"
 RESUME_SQL = "UPDATE kv SET v = 3333 WHERE id = 20"
 
 
-def _build(wal_rows=None, system="RC-NVM"):
+def _build(wal_rows=None):
     """A durable, ECC-protected stack loaded with the kv table."""
     db = Database(
-        build_system(system, small=True),
+        build_system("RC-NVM", small=True),
         cache_config=SMALL_CACHE_CONFIG,
         verify=False,
     )
@@ -68,26 +66,14 @@ def _crash_one_site(site, wal_rows=None):
     """Run the scripted workload, crash at ``site``, recover, verify.
 
     Returns a result dict for the sweep table."""
-    tiered = site == "during-migration"
-    db = _build(wal_rows=wal_rows, system="TIERED" if tiered else "RC-NVM")
+    db = _build(wal_rows=wal_rows)
     db.execute(COMMITTED_SQL)
     expected = {i: 1111 if i < 8 else i * 10 for i in range(N_ROWS)}
 
     db.durability.injector = CrashInjector(site)
     crashed_in = None
     try:
-        if tiered:
-            # Heat the table until the engine starts promoting it into
-            # DRAM; the injector kills the copy mid-flight.  Thresholds
-            # stay quiet until after the injector is armed so setup
-            # traffic cannot fire the site early.
-            db.tiering.epoch_statements = 1
-            db.tiering.promote_threshold = 2.0
-            db.tiering.demote_threshold = 0.5
-            crashed_in = "tier promotion (hot SELECTs)"
-            for _ in range(16):
-                db.execute("SELECT id, v FROM kv")
-        elif site == "mid-scrub":
+        if site == "mid-scrub":
             # An uncorrectable fault plus a background sweep that dies
             # between subarrays: the composition the suite must survive.
             _inject_uncorrectable(db)

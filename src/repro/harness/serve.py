@@ -23,7 +23,7 @@ from repro.workloads.suite import build_benchmark_database
 MIX_WIDTH = 3
 
 #: Tenant-private range UPDATE making the default mix OLXP rather than
-#: read-only (the tier and wear workloads reuse it).  Write traffic is
+#: read-only (the wear workload reuses it).  Write traffic is
 #: where the scheduling policies separate: FR-FCFS buffers writebacks and
 #: drains them in row-batched episodes, while the global-FIFO baseline
 #: interleaves them with reads in arrival order, thrashing the row buffers.

@@ -9,11 +9,9 @@ from repro.geometry import (
 )
 from repro.memsim import timing as timings
 from repro.memsim.system import make_dram, make_gsdram, make_rcnvm, make_rram
-from repro.memsim.tiering import make_tiered
 
-#: The paper's four systems plus the hybrid DRAM-fronted RC-NVM tier
-#: (:mod:`repro.memsim.tiering`).
-SYSTEM_NAMES = ("RC-NVM", "RRAM", "GS-DRAM", "DRAM", "TIERED")
+#: The paper's four systems.
+SYSTEM_NAMES = ("RC-NVM", "RRAM", "GS-DRAM", "DRAM")
 
 #: Table 1 cache stack: private L1 32 KB and L2 256 KB, shared L3 8 MB,
 #: all 8-way with 64 B lines.
@@ -27,7 +25,6 @@ _FULL_FACTORIES = {
     "GS-DRAM": lambda **kw: make_gsdram(DRAM_GEOMETRY, **kw),
     "RRAM": lambda **kw: make_rram(RCNVM_GEOMETRY, **kw),
     "RC-NVM": lambda **kw: make_rcnvm(RCNVM_GEOMETRY, **kw),
-    "TIERED": lambda **kw: make_tiered(RCNVM_GEOMETRY, **kw),
 }
 
 _SMALL_FACTORIES = {
@@ -35,7 +32,6 @@ _SMALL_FACTORIES = {
     "GS-DRAM": lambda **kw: make_gsdram(SMALL_DRAM_GEOMETRY, **kw),
     "RRAM": lambda **kw: make_rram(SMALL_RCNVM_GEOMETRY, **kw),
     "RC-NVM": lambda **kw: make_rcnvm(SMALL_RCNVM_GEOMETRY, **kw),
-    "TIERED": lambda **kw: make_tiered(SMALL_RCNVM_GEOMETRY, **kw),
 }
 
 

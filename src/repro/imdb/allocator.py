@@ -5,19 +5,6 @@ memory allocator)": the allocator feeds chunk rectangles to the online
 bin packer and maps packer bins onto physical subarrays.  Subarrays are
 claimed in an order that stripes consecutive bins across channels, ranks
 and banks, so concurrent chunk scans enjoy bank-level parallelism.
-
-Hybrid tiering (:mod:`repro.memsim.tiering`) adds two wrinkles:
-
-* An allocator can be restricted to a ``channel_range``, so the NVM and
-  DRAM halves of a :class:`~repro.memsim.tiering.TieredMemorySystem`
-  address space are packed independently and a rectangle can never
-  straddle tiers.
-* Migration vacates rectangles.  The shelf packer is online and never
-  frees placed area, so vacated rectangles go on a ``freed`` list and
-  are reused by exact-footprint match.  Freed space is deliberately kept
-  separate from ``retired`` space: a retired rectangle holds damaged
-  cells and must never be handed out again, while a freed rectangle is
-  healthy and merely unoccupied.
 """
 
 from repro.errors import LayoutError
@@ -28,69 +15,40 @@ from repro.imdb.binpack import OnlineBinPacker, Placement
 class SubarrayAllocator:
     """Assigns chunk rectangles to subarrays of one memory system."""
 
-    def __init__(self, geometry: Geometry, allow_rotation=True,
-                 channel_range=None):
+    def __init__(self, geometry: Geometry, allow_rotation=True):
         self.geometry = geometry
         self.allow_rotation = allow_rotation
-        #: Half-open ``[lo, hi)`` channel interval this allocator may
-        #: claim subarrays from.  Defaults to every channel.
-        self.channel_range = (
-            (0, geometry.channels) if channel_range is None else channel_range
-        )
-        lo, hi = self.channel_range
-        if not 0 <= lo < hi <= geometry.channels:
-            raise LayoutError(
-                f"channel range [{lo}, {hi}) outside geometry with "
-                f"{geometry.channels} channels"
-            )
         self.packer = OnlineBinPacker(
             bin_width=geometry.cols,
             bin_height=geometry.rows,
             allow_rotation=allow_rotation,
         )
         self._bin_to_subarray = []
-        self._claim_order = self._striped_order(geometry, self.channel_range)
+        self._claim_order = self._striped_order(geometry)
         #: Damaged placements retired by uncorrectable-error recovery.
         #: The online packer never frees placed area, so a retired
         #: rectangle is already unreachable; recording it keeps the loss
         #: visible in :meth:`utilization` and diagnostics.
         self.retired = []
-        #: Healthy placements vacated by tier migration, reusable by
-        #: exact footprint match (rotation allowed).  Disjoint from
-        #: ``retired`` by construction: :meth:`free` refuses rectangles
-        #: that were previously retired.
-        self.freed = []
 
     @staticmethod
-    def _striped_order(geometry, channel_range=None):
+    def _striped_order(geometry):
         """Subarray ids ordered to stripe across channels, ranks, banks."""
         order = []
         g = geometry
-        lo, hi = channel_range if channel_range else (0, g.channels)
         for sub in range(g.subarrays):
             for bank in range(g.banks):
                 for rank in range(g.ranks):
-                    for channel in range(lo, hi):
+                    for channel in range(g.channels):
                         order.append(
                             ((channel * g.ranks + rank) * g.banks + bank) * g.subarrays
                             + sub
                         )
         return order
 
-    def place(self, width, height, tier=0) -> Placement:
+    def place(self, width, height) -> Placement:
         """Place a chunk rectangle; returns a placement whose
-        ``bin_index`` is already translated to a physical subarray id.
-
-        ``tier`` exists so call sites can be tier-agnostic: a plain
-        allocator only owns tier 0 (NVM) and rejects anything else."""
-        if tier:
-            raise LayoutError(
-                f"allocator over channels {self.channel_range} has no "
-                f"tier {tier}"
-            )
-        reused = self._reuse_freed(width, height)
-        if reused is not None:
-            return reused
+        ``bin_index`` is already translated to a physical subarray id."""
         placement = self.packer.place(width, height)
         while placement.bin_index >= len(self._bin_to_subarray):
             next_bin = len(self._bin_to_subarray)
@@ -106,44 +64,12 @@ class SubarrayAllocator:
             height=placement.height,
         )
 
-    def _reuse_freed(self, width, height):
-        """Pop a freed rectangle whose footprint matches ``width x height``
-        (possibly rotated); the returned placement's ``rotated`` flag
-        reflects the *new* occupant's orientation, not the old one's."""
-        for i, p in enumerate(self.freed):
-            if (p.width, p.height) == (width, height):
-                del self.freed[i]
-                return Placement(p.bin_index, p.x, p.y, False, p.width, p.height)
-        if self.allow_rotation and width != height:
-            for i, p in enumerate(self.freed):
-                if (p.width, p.height) == (height, width):
-                    del self.freed[i]
-                    return Placement(
-                        p.bin_index, p.x, p.y, True, p.width, p.height
-                    )
-        return None
-
-    def free(self, placement: Placement):
-        """Return a healthy, vacated placement to the reuse pool.
-
-        Guard against the remap/ECC seam: a rectangle that was retired
-        (damaged) must never re-enter circulation, so freeing one is an
-        error rather than a silent double-assignment waiting to happen."""
-        if placement in self.retired:
-            raise LayoutError(
-                f"cannot free retired (damaged) placement {placement}"
-            )
-        self.freed.append(placement)
-
     def retire(self, placement: Placement):
         """Take a damaged placement out of service.
 
         The shelf packer never reuses placed area, so the rectangle is
-        already unreachable to future :meth:`place` calls — unless it
-        sits on the freed list, in which case it must be pulled off so
-        the reuse path cannot assign damaged cells to a new chunk."""
-        if placement in self.freed:
-            self.freed.remove(placement)
+        already unreachable to future :meth:`place` calls; recording it
+        keeps the loss visible."""
         self.retired.append(placement)
 
     @property
@@ -152,94 +78,8 @@ class SubarrayAllocator:
         return sum(p.width * p.height for p in self.retired)
 
     @property
-    def freed_cells(self):
-        """Total cells sitting in the migration reuse pool."""
-        return sum(p.width * p.height for p in self.freed)
-
-    @property
-    def freed_placements(self):
-        """Freed rectangles still awaiting reuse (for audits)."""
-        return list(self.freed)
-
-    @property
     def subarrays_used(self):
         return self.packer.bins_used
 
     def utilization(self):
         return self.packer.utilization()
-
-
-class TieredAllocator:
-    """Two :class:`SubarrayAllocator` halves over one tiered geometry.
-
-    Tier 0 (NVM) owns channels ``[0, nvm_channels)``; tier 1 (DRAM) owns
-    ``[nvm_channels, channels)``.  All default traffic — table creation,
-    index placement, the WAL — lands in NVM; only the migration engine
-    places into DRAM, so durability and recovery semantics are untouched
-    by tiering.  Placements route back to their owning half by channel,
-    which is recoverable from ``bin_index`` alone.
-    """
-
-    def __init__(self, geometry: Geometry, nvm_channels, allow_rotation=True):
-        if not 0 < nvm_channels < geometry.channels:
-            raise LayoutError(
-                f"nvm_channels {nvm_channels} must split the "
-                f"{geometry.channels}-channel geometry into two tiers"
-            )
-        self.geometry = geometry
-        self.nvm_channels = nvm_channels
-        self.allow_rotation = allow_rotation
-        self.nvm = SubarrayAllocator(
-            geometry, allow_rotation, channel_range=(0, nvm_channels)
-        )
-        self.dram = SubarrayAllocator(
-            geometry, allow_rotation, channel_range=(nvm_channels, geometry.channels)
-        )
-
-    def tier_of(self, placement: Placement):
-        """Which tier a placement physically lives in (0 = NVM, 1 = DRAM)."""
-        g = self.geometry
-        channel = placement.bin_index // (g.ranks * g.banks * g.subarrays)
-        return 1 if channel >= self.nvm_channels else 0
-
-    def _half(self, tier):
-        return self.dram if tier else self.nvm
-
-    def place(self, width, height, tier=0) -> Placement:
-        return self._half(tier).place(width, height)
-
-    def free(self, placement: Placement):
-        self._half(self.tier_of(placement)).free(placement)
-
-    def retire(self, placement: Placement):
-        self._half(self.tier_of(placement)).retire(placement)
-
-    @property
-    def retired(self):
-        return self.nvm.retired + self.dram.retired
-
-    @property
-    def retired_cells(self):
-        return self.nvm.retired_cells + self.dram.retired_cells
-
-    @property
-    def freed_cells(self):
-        return self.nvm.freed_cells + self.dram.freed_cells
-
-    @property
-    def freed_placements(self):
-        return self.nvm.freed_placements + self.dram.freed_placements
-
-    @property
-    def subarrays_used(self):
-        return self.nvm.subarrays_used + self.dram.subarrays_used
-
-    def utilization(self):
-        used = self.subarrays_used
-        if not used:
-            return 0.0
-        placed = (
-            self.nvm.subarrays_used * self.nvm.utilization()
-            + self.dram.subarrays_used * self.dram.utilization()
-        )
-        return placed / used  # utilization weighted by bins opened per tier

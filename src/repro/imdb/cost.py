@@ -45,7 +45,7 @@ class CostEstimate:
     cycles: float  # estimated CPU cycles
     #: Estimated NVM cell-array write pulses (dirtied buffer entries that
     #: will flush).  Zero for read-only plans; the planner's write-
-    #: direction choice minimizes this times the per-tier flush cost.
+    #: direction choice minimizes this times the device's flush cost.
     write_pulses: int = 0
 
     def __str__(self):
@@ -66,44 +66,15 @@ class CostModel:
         self._hit_cost = timing.cas_cpu + timing.burst_cpu
         self._activation_cost = timing.rp_cpu + timing.rcd_cpu
         self._flush_cost = timing.write_pulse_cpu
-        #: On a hybrid memory (:mod:`repro.memsim.tiering`) costs are
-        #: blended per table by its DRAM-resident cell fraction; each
-        #: tier contributes the paper's channel count, so parallelism is
-        #: the per-tier channel count either way.
-        self._tiered = getattr(memory, "tiered", False)
-        if self._tiered:
-            dram = memory.dram_timing
-            self._dram_hit_cost = dram.cas_cpu + dram.burst_cpu
-            self._dram_activation_cost = dram.rp_cpu + dram.rcd_cpu
-            self._dram_flush_cost = dram.write_pulse_cpu
-            self._channels = memory.nvm_channels
-        else:
-            self._channels = memory.geometry.channels
-
-    def dram_fraction(self, table, chunks=None):
-        """Fraction of the given chunks' cells (default: the whole
-        table's) resident in the DRAM tier."""
-        if not self._tiered:
-            return 0.0
-        g = self.database.memory.geometry
-        per_channel = g.ranks * g.banks * g.subarrays
-        nvm_channels = self.database.memory.nvm_channels
-        total = dram = 0
-        for chunk in table.chunks if chunks is None else chunks:
-            cells = chunk.width * chunk.height
-            total += cells
-            if chunk.placement.bin_index // per_channel >= nvm_channels:
-                dram += cells
-        return dram / total if total else 0.0
+        self._channels = memory.geometry.channels
 
     def dirty_chunks(self, table, plan):
         """Chunks holding at least one tuple the plan's predicates match.
 
-        A write plan only dirties the chunks its matches live in, so
-        per-tier write costs must be blended over *these* chunks — a
-        table that is mostly DRAM-resident can still have every matched
-        tuple sitting in NVM (and vice versa).  Falls back to the whole
-        table when there are no predicates or nothing matches."""
+        A write plan only dirties the chunks its matches live in, and a
+        column-direction write-back pays one flush per assigned word per
+        dirtied chunk.  Falls back to the whole table when there are no
+        predicates or nothing matches."""
         predicates = getattr(plan, "predicates", ())
         if not predicates:
             return table.chunks
@@ -137,18 +108,9 @@ class CostModel:
             return self._update(plan)
         raise TypeError(f"cannot price {type(plan).__name__}")
 
-    def _finish(self, plan, lines, activations, extra_cycles=0.0, table=None,
+    def _finish(self, plan, lines, activations, extra_cycles=0.0,
                 write_pulses=0):
-        hit, activation = self._hit_cost, self._activation_cost
-        if self._tiered and table is not None:
-            fraction = self.dram_fraction(table)
-            if fraction:
-                hit = fraction * self._dram_hit_cost + (1 - fraction) * hit
-                activation = (
-                    fraction * self._dram_activation_cost
-                    + (1 - fraction) * activation
-                )
-        serial = lines * hit + activations * activation
+        serial = lines * self._hit_cost + activations * self._activation_cost
         cycles = serial / self._channels + extra_cycles
         return CostEstimate(
             plan=type(plan).__name__,
@@ -157,21 +119,6 @@ class CostModel:
             cycles=cycles,
             write_pulses=int(write_pulses),
         )
-
-    def _blended_flush_cost(self, table, chunks=None):
-        """Per-flush dirty-flush cost; DRAM-resident cells skip the NVM
-        write pulse.  ``chunks`` restricts the blend to the chunks a plan
-        actually dirties (see :meth:`dirty_chunks`) — blending by the
-        whole-table fraction charged DRAM prices to writes whose matches
-        are entirely NVM-resident."""
-        if self._tiered:
-            fraction = self.dram_fraction(table, chunks)
-            if fraction:
-                return (
-                    fraction * self._dram_flush_cost
-                    + (1 - fraction) * self._flush_cost
-                )
-        return self._flush_cost
 
     # -- scan building blocks --------------------------------------------------------
     def _table(self, name):
@@ -235,7 +182,7 @@ class CostModel:
             lines_per_tuple = -(-output_words // WORDS_PER_LINE)
             lines += matches * lines_per_tuple
             activations += matches  # scattered rows: one activation each
-        return self._finish(plan, lines, activations, table=table)
+        return self._finish(plan, lines, activations)
 
     def _aggregate(self, plan):
         table = self._table(plan.table)
@@ -248,7 +195,7 @@ class CostModel:
                 lines += l
                 activations += a
         l, a = self._scan_cost(table, plan.scan_method)
-        return self._finish(plan, lines + l, activations + a, table=table)
+        return self._finish(plan, lines + l, activations + a)
 
     def _wide_aggregate(self, plan):
         table = self._table(plan.table)
@@ -257,7 +204,7 @@ class CostModel:
             # Naive interleaved wide-field read: every line switches the
             # column buffer.
             a = l
-        return self._finish(plan, l, a, table=table)
+        return self._finish(plan, l, a)
 
     def _ordered_projection(self, plan):
         table = self._table(plan.table)
@@ -265,7 +212,7 @@ class CostModel:
         l, a = self._scan_cost(table, plan.scan_method, words=words)
         if plan.scan_method is ScanMethod.COLUMN and not plan.group_lines:
             a = l
-        return self._finish(plan, l, a, table=table)
+        return self._finish(plan, l, a)
 
     def _join(self, plan):
         left = self._table(plan.left)
@@ -325,9 +272,9 @@ class CostModel:
             lines += matches * max(1, -(-words // WORDS_PER_LINE))
             activations += matches
             write_pulses = matches
-        flush_cycles = write_pulses * self._blended_flush_cost(table, dirty)
+        flush_cycles = write_pulses * self._flush_cost
         return self._finish(
-            plan, lines, activations, extra_cycles=flush_cycles, table=table,
+            plan, lines, activations, extra_cycles=flush_cycles,
             write_pulses=write_pulses,
         )
 

@@ -81,26 +81,9 @@ class Database:
         self.physmem = physmem if physmem is not None else PhysicalMemory(
             memory.geometry
         )
-        if getattr(memory, "tiered", False):
-            # Hybrid DRAM + NVM memory: split the address space into two
-            # independently packed halves (defaults — tables, indexes,
-            # the WAL — all land in NVM) and attach the migration engine.
-            from repro.imdb.allocator import TieredAllocator
-            from repro.memsim.tiering import TieringEngine
-
-            self.allocator = TieredAllocator(
-                memory.geometry,
-                memory.nvm_channels,
-                allow_rotation=memory.supports_column,
-            )
-            self.tiering = TieringEngine(self)
-        else:
-            self.allocator = SubarrayAllocator(
-                memory.geometry, allow_rotation=memory.supports_column
-            )
-            #: :class:`~repro.memsim.tiering.TieringEngine` on tiered
-            #: memory, else None.
-            self.tiering = None
+        self.allocator = SubarrayAllocator(
+            memory.geometry, allow_rotation=memory.supports_column
+        )
         self.cache_config = dict(cache_config or {})
         self.window = window
         self.default_group_lines = default_group_lines
@@ -481,7 +464,7 @@ class Database:
             # dirty lines reach the cell arrays and the marker is durable.
             # May raise SimulatedCrash when an injector is armed.
             receipt = self.durability.commit_statement(self.machine)
-        outcome = ExecutionOutcome(
+        return ExecutionOutcome(
             sql=sql,
             result=result,
             timing=timing,
@@ -490,14 +473,6 @@ class Database:
             trace=trace,
             durability=receipt,
         )
-        if self.tiering is not None:
-            # After the commit barrier: migrations never run between a
-            # WAL record and its commit marker.  ``simulate=False``
-            # callers (the serving front end) replay traces later, so
-            # they only observe heat here and migrate between dispatch
-            # rounds (see ServingSimulator).
-            self.tiering.note_statement(outcome, allow_migration=simulate)
-        return outcome
 
     def explain(self, sql, params=None, **kwargs):
         """The plan the planner would choose, as a readable string."""

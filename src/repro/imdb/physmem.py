@@ -49,23 +49,6 @@ class PhysicalMemory:
         the only ones a scrub sweep needs to visit."""
         return sorted(self._subarrays)
 
-    def clear_channels(self, channel_lo, channel_hi):
-        """Drop every materialized subarray on channels ``[lo, hi)``.
-
-        Models volatility: crash recovery over a hybrid memory calls
-        this for the DRAM-tier channels, whose contents do not survive
-        power loss (see :func:`repro.durability.recovery.recover`).
-        Returns the number of subarrays cleared."""
-        g = self.geometry
-        per_channel = g.ranks * g.banks * g.subarrays
-        dropped = [
-            index for index in self._subarrays
-            if channel_lo <= index // per_channel < channel_hi
-        ]
-        for index in dropped:
-            del self._subarrays[index]
-        return len(dropped)
-
     def subarray_coord(self, index):
         """Invert :meth:`AddressMapper.subarray_index`."""
         g = self.geometry

@@ -391,7 +391,7 @@ class Planner:
             fetch = FetchMethod.ROW
         self._check_order_in_fields(order_by, fields)
         use_index = self._index_usable(table, predicates)
-        plan = FilterFetchPlan(
+        return FilterFetchPlan(
             table=table_name,
             predicates=predicates,
             scan_method=scan_method,
@@ -406,34 +406,6 @@ class Planner:
             order_by=order_by,
             limit=statement.limit,
         )
-        return self._tier_tuned(plan)
-
-    def _tier_tuned(self, plan):
-        """On a hybrid memory, re-price ROW vs COLUMN fetch against the
-        table's *current* tier placement and keep the cheaper one.
-
-        Only the fetch path changes, never the result set, so the choice
-        is invisible to differential oracles.  The static heuristics
-        above assume uniform NVM timing; once the migration engine has
-        promoted a table's chunks into DRAM, scattered row fetches get
-        cheap enough that the narrow-projection column preference can
-        invert (see :class:`repro.imdb.cost.CostModel`)."""
-        if not getattr(self.database.memory, "tiered", False):
-            return plan
-        if plan.use_index or plan.fetch_method is FetchMethod.FULL_SCAN:
-            return plan
-        from repro.imdb.cost import CostModel  # local import: cost imports us
-
-        model = CostModel(self.database)
-        best, best_cycles = plan, model.estimate(plan).cycles
-        for method in (FetchMethod.ROW, FetchMethod.COLUMN):
-            if method is plan.fetch_method:
-                continue
-            candidate = dataclasses.replace(plan, fetch_method=method)
-            cycles = model.estimate(candidate).cycles
-            if cycles < best_cycles:
-                best, best_cycles = candidate, cycles
-        return best
 
     def _resolve_order(self, statement, table):
         """Validate ORDER BY into (field, descending) or None."""
@@ -560,7 +532,7 @@ class Planner:
         buffer entries wins even when it moves the same number of lines
         (Ma et al., PAPERS.md).  Only the write path changes — never the
         functional result — so the choice is invisible to differential
-        oracles, exactly like `_tier_tuned`."""
+        oracles."""
         if not self._supports_column or not plan.assignments:
             return plan
         from repro.imdb.cost import CostModel  # local import: cost imports us

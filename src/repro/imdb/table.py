@@ -172,16 +172,12 @@ class Table:
             )
         return np.ascontiguousarray(packed, dtype=np.int64)
 
-    def remap_chunk(self, chunk, crash_point=None, tier=None, release=False):
+    def remap_chunk(self, chunk, crash_point=None):
         """Move a chunk onto a fresh placement, rebuilding its cells.
 
-        Two callers share this machinery.  Uncorrectable-error recovery
-        (the default) *retires* the old rectangle — damaged cells leave
-        play forever — and replaces it in the same tier.  Tier migration
-        passes ``release=True`` (the vacated rectangle is healthy and
-        returns to the allocator's reuse pool) and ``tier`` to direct the
-        new placement into the DRAM or NVM half of a
-        :class:`~repro.imdb.allocator.TieredAllocator`.
+        Uncorrectable-error recovery calls this: the old rectangle is
+        *retired* (damaged cells leave play forever) and the chunk's
+        packed backup is written into a new one.
 
         ``crash_point`` (if given) is called after the new rectangle is
         claimed but before its cells are rewritten — the widest window a
@@ -192,17 +188,10 @@ class Table:
             backup = self.chunk_packed(chunk)
             chunk.backup = backup
         old = chunk.placement
-        # Claim the new rectangle before releasing the old one: if the
-        # destination cannot place it, the chunk must stay where it is
-        # (and the live rectangle must never enter the reuse pool).
-        if tier is None:
-            fresh = self.allocator.place(chunk.width, chunk.height)
-        else:
-            fresh = self.allocator.place(chunk.width, chunk.height, tier=tier)
-        if release:
-            self.allocator.free(old)
-        else:
-            self.allocator.retire(old)
+        # Claim the new rectangle before retiring the old one: if memory
+        # cannot place it, the chunk must stay where it is.
+        fresh = self.allocator.place(chunk.width, chunk.height)
+        self.allocator.retire(old)
         chunk.placement = fresh
         self.geometry_epoch += 1
         if crash_point is not None:

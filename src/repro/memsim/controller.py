@@ -172,10 +172,6 @@ class ChannelController:
         self._seq = itertools.count()
         self.bus_free = 0
         self.stats = MemoryStats()
-        #: Memory tier this channel belongs to (0 = NVM, 1 = DRAM).  Set by
-        #: :class:`~repro.memsim.tiering.TieredMemorySystem` on its DRAM
-        #: channels; plain systems leave every controller at tier 0.
-        self.tier = 0
         # DeviceTiming is frozen; cache the per-request burst length.
         self._burst_cpu = timing.burst_cpu
 
@@ -190,7 +186,6 @@ class ChannelController:
 
     def submit(self, req):
         """Queue a request; may trigger scheduling if a queue fills up."""
-        req.tier = self.tier
         bank_index = req.rank * self.geometry.banks + req.bank
         if self.write_coalescing and req.is_write:
             want = req.want
@@ -532,14 +527,6 @@ class ChannelController:
         else:
             stats.row_oriented += 1
         hit = stats.buffer_hits > hits_before
-        if self.tier:
-            stats.tier_dram_accesses += 1
-            if hit:
-                stats.tier_dram_hits += 1
-        else:
-            stats.tier_nvm_accesses += 1
-            if hit:
-                stats.tier_nvm_hits += 1
         stats.bus_busy_cycles += self._burst_cpu
         latency = end - req.arrival
         stats.total_latency_cycles += latency
@@ -582,12 +569,6 @@ class ChannelController:
                 else:
                     stats.row_oriented += 1
                 stats.buffer_hits += 1
-                if self.tier:
-                    stats.tier_dram_accesses += 1
-                    stats.tier_dram_hits += 1
-                else:
-                    stats.tier_nvm_accesses += 1
-                    stats.tier_nvm_hits += 1
                 alat = completion - areq.arrival
                 stats.total_latency_cycles += alat
                 bucket = alat.bit_length()

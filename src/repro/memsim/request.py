@@ -33,7 +33,6 @@ class MemRequest:
         "buffer_index",
         "want",
         "stream",
-        "tier",
     )
 
     def __init__(self, channel, rank, bank, subarray, row, col, orientation, is_write, arrival,
@@ -43,10 +42,6 @@ class MemRequest:
         #: arbiter in :class:`~repro.memsim.controller.ChannelController`
         #: only engages when more than one stream is queued.
         self.stream = stream
-        #: Memory tier servicing this request (0 = NVM, 1 = DRAM).  Stamped
-        #: by the owning controller at submit time, since tier is a property
-        #: of the channel, not of the address bits the caller decoded.
-        self.tier = 0
         self.channel = channel
         self.rank = rank
         self.bank = bank

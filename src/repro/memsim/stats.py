@@ -169,23 +169,6 @@ class MemoryStats:
     persist_barriers: int = 0
     #: Dirty cache lines the persistence barriers wrote back.
     persist_flush_lines: int = 0
-    # -- hybrid-tier accounting ------------------------------------------------
-    #: Requests serviced by a DRAM-tier channel vs an NVM-tier channel.
-    #: On untiered systems every controller is tier 0 (NVM), so the DRAM
-    #: counters stay zero; either way the pair partitions ``accesses``.
-    tier_dram_accesses: int = 0
-    tier_nvm_accesses: int = 0
-    #: Per-tier split of ``buffer_hits`` (same partition law).
-    tier_dram_hits: int = 0
-    tier_nvm_hits: int = 0
-    #: Chunk rectangles moved into / out of the DRAM tier by the
-    #: migration engine (background traffic, like scrubbing).
-    chunks_promoted: int = 0
-    chunks_demoted: int = 0
-    #: Cell words those migrations copied, and the CPU cycles charged for
-    #: the copies (read at the source tier + write at the destination).
-    migration_cells: int = 0
-    migration_cycles: int = 0
     #: End-to-end request latency distribution (completion - arrival).
     latency_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Read-only slice of ``latency_hist`` — the wear/latency ablation
@@ -233,14 +216,6 @@ class MemoryStats:
         "wal_cells": "counter",
         "persist_barriers": "counter",
         "persist_flush_lines": "counter",
-        "tier_dram_accesses": "counter",
-        "tier_nvm_accesses": "counter",
-        "tier_dram_hits": "counter",
-        "tier_nvm_hits": "counter",
-        "chunks_promoted": "counter",
-        "chunks_demoted": "counter",
-        "migration_cells": "counter",
-        "migration_cycles": "counter",
         "latency_hist": "histogram",
         "read_latency_hist": "histogram",
     }
@@ -355,28 +330,6 @@ class MemoryStats:
                 f"read latency samples {self.read_latency_hist.count} exceed "
                 f"total latency samples {self.latency_hist.count}"
             )
-        tiered = self.tier_dram_accesses + self.tier_nvm_accesses
-        if tiered != self.accesses:
-            problems.append(
-                f"tier accesses {tiered} != accesses {self.accesses} "
-                f"(dram={self.tier_dram_accesses}, nvm={self.tier_nvm_accesses})"
-            )
-        tier_hits = self.tier_dram_hits + self.tier_nvm_hits
-        if tier_hits != self.buffer_hits:
-            problems.append(
-                f"tier hits {tier_hits} != buffer hits {self.buffer_hits} "
-                f"(dram={self.tier_dram_hits}, nvm={self.tier_nvm_hits})"
-            )
-        if self.tier_dram_hits > self.tier_dram_accesses:
-            problems.append(
-                f"DRAM-tier hits {self.tier_dram_hits} exceed DRAM-tier "
-                f"accesses {self.tier_dram_accesses}"
-            )
-        if self.tier_nvm_hits > self.tier_nvm_accesses:
-            problems.append(
-                f"NVM-tier hits {self.tier_nvm_hits} exceed NVM-tier "
-                f"accesses {self.tier_nvm_accesses}"
-            )
         return problems
 
     def snapshot(self) -> dict:
@@ -392,6 +345,16 @@ class MemoryStats:
         data["latency_p99"] = self.latency_p99
         data["read_latency_p50"] = self.read_latency_p50
         data["read_latency_p99"] = self.read_latency_p99
+        # Keys of the deleted hybrid DRAM tier, kept with their untiered
+        # values because every committed benchmark golden digests the
+        # whole snapshot.  A benchmark change that re-records the goldens
+        # removes them.
+        data["tier_nvm_accesses"] = data["accesses"]
+        data["tier_nvm_hits"] = self.buffer_hits
+        for name in ("tier_dram_accesses", "tier_dram_hits",
+                     "chunks_promoted", "chunks_demoted",
+                     "migration_cells", "migration_cycles"):
+            data[name] = 0
         return data
 
 

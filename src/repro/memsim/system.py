@@ -34,11 +34,6 @@ from repro.memsim.stats import MemoryStats
 class MemorySystem:
     """One simulated main memory (all channels)."""
 
-    #: True on hybrid DRAM + NVM systems (see
-    #: :class:`repro.memsim.tiering.TieredMemorySystem`); plain systems
-    #: are single-tier and migration-free.
-    tiered = False
-
     def __init__(
         self,
         name,
@@ -148,20 +143,6 @@ class MemorySystem:
         stats = self.controllers[channel].stats
         stats.persist_barriers += 1
         stats.persist_flush_lines += flushed_lines
-
-    def charge_migration(self, channel, cells, cycles, promoted):
-        """Account one chunk migration against the destination channel's
-        stats.  Like scrubbing and WAL appends, migration copies are
-        background traffic: they cost cycles and bandwidth but are not
-        demand ``reads``/``writes``, so the tier partition of ``accesses``
-        stays exact."""
-        stats = self.controllers[channel].stats
-        if promoted:
-            stats.chunks_promoted += 1
-        else:
-            stats.chunks_demoted += 1
-        stats.migration_cells += cells
-        stats.migration_cycles += cycles
 
     # -- statistics ---------------------------------------------------------
     @property

@@ -240,9 +240,7 @@ def registry_for_database(db) -> MetricsRegistry:
     each cache level's :class:`CacheStats` (label: level), the synonym
     directory's :class:`SynonymStats`, and — when the database has one —
     the template cache's
-    :class:`~repro.cpu.tracetemplate.TemplateCacheStats` and the tier
-    migration engine's cumulative ledger
-    (:class:`~repro.memsim.tiering.TieringEngine`).  All
+    :class:`~repro.cpu.tracetemplate.TemplateCacheStats`.  All
     instruments are source-backed, so one registry stays accurate across
     ``reset_timing()`` and repeated queries.
     """
@@ -287,24 +285,5 @@ def registry_for_database(db) -> MetricsRegistry:
             (lambda d=db: d.template_cache.stats),
             "template_cache",
             base,
-        )
-    if getattr(db, "tiering", None) is not None:
-        # The migration engine's cumulative ledger (controller stats
-        # reset per statement; the engine's counters never do).
-        for name in ("promotions", "demotions", "migrated_cells"):
-            registry.counter(
-                f"tiering.{name}",
-                labels=base,
-                source=(lambda d=db, n=name: getattr(d.tiering, n)),
-            )
-        registry.gauge(
-            "tiering.dram_resident_cells",
-            labels=base,
-            source=(lambda d=db: d.tiering.dram_resident_cells()),
-        )
-        registry.gauge(
-            "tiering.epoch",
-            labels=base,
-            source=(lambda d=db: d.tiering.epoch),
         )
     return registry

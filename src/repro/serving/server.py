@@ -160,14 +160,6 @@ class ServingSimulator:
                 session.complete(pending, clock)
             self.now = max(result.segment_ends.values())
             self._last_memory = result.memory
-            if self.db.tiering is not None:
-                # Migrate only between rounds: every in-flight trace has
-                # been replayed and no WAL group is open, so moving a
-                # chunk can neither invalidate a captured trace nor
-                # split a durability barrier (executing with
-                # ``simulate=False`` above made the engine observe heat
-                # without migrating).
-                self.db.tiering.rebalance()
         return True
 
     def run(self) -> ServingReport:

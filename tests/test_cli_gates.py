@@ -30,11 +30,6 @@ PASSING = {
         },
         "hit_rate_delta": -0.005,
     },
-    "tier": {
-        "hit_rate_delta": 0.001,
-        "tiered": {"migration": {"promotions": 1}},
-        "consistency_problems": [],
-    },
     "wear": {
         "cells": {
             "baseline": {"totals": {"write_pulses": 60, "writes_coalesced": 0}},
@@ -85,10 +80,6 @@ PLANTED = [
     ("serve", ("report", "shed"), 3, "shed 3 statements"),
     ("serve", ("report", "fairness"), 3.01, "fairness ratio 3.01 > 3.0"),
     ("serve", ("hit_rate_delta",), -0.0051, "below global FIFO"),
-    ("tier", ("hit_rate_delta",), 0.0, "not above the untiered baseline"),
-    ("tier", ("tiered", "migration", "promotions"), 0, "no chunk was ever promoted"),
-    ("tier", ("consistency_problems",), ["chunk 3 resident twice"],
-     "chunk 3 resident twice"),
     ("wear", ("cells", "coalesce+bypass", "totals", "write_pulses"), 60,
      "write pulses not reduced: 60"),
     ("wear", ("cells", "coalesce+bypass", "totals", "writes_coalesced"), 0,
@@ -155,7 +146,6 @@ def test_every_gated_experiment_has_planted_cases():
 
 @pytest.mark.parametrize("argv", [
     ["serve", "--smoke"],
-    ["tier", "--smoke"],
     ["wear", "--smoke"],
     ["recover", "--smoke"],
     ["faults", "--smoke", "--seed", "7", "--fault-rate", "0.01"],
@@ -184,10 +174,19 @@ def test_dispatcher_fails_on_a_failing_gate(monkeypatch, capsys):
     (["fig4", "--smoke"], "fig4 has no --smoke gate"),
     (["fig4", "--bogus"], "unrecognized arguments: --bogus"),
     (["profile", "--query", "q99"], "unknown query 'q99'"),
+    (["tier", "--smoke"], "unknown experiment 'tier'"),
+    (["wear", "--fraction", "0.5"], "unrecognized arguments: --fraction"),
 ])
 def test_usage_errors_exit_two(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_fuzz_refuses_an_unknown_config(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fuzz", "--configs", "tiered-col", "--smoke"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tiered-col'" in capsys.readouterr().err
 
 
 def test_json_writes_every_result_keyed_by_experiment(tmp_path, capsys):

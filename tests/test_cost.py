@@ -122,18 +122,11 @@ class TestExplainCosts:
         assert "cycles" in str(out["chosen"])
 
 
-def two_chunk_db(system="RC-NVM"):
+def two_chunk_db():
     """A two-chunk table with chunk-aligned id ranges (insert_many always
     appends whole new chunks): ids [0, 200) in chunk 0, [200, 400) in
     chunk 1."""
-    if system == "TIERED":
-        from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
-        from repro.imdb.database import Database
-
-        db = Database(build_system("TIERED", small=True),
-                      cache_config=SMALL_CACHE_CONFIG, verify=False)
-    else:
-        db = make_database(system, verify=False)
+    db = make_database("RC-NVM", verify=False)
     db.create_table("t", [("id", 8), ("v", 8)], layout="column")
     db.insert_many("t", [(i, i * 3) for i in range(200)])
     db.insert_many("t", [(i, i * 3) for i in range(200, 400)])
@@ -159,35 +152,6 @@ class TestDirtyChunkBlending:
         assert model.dirty_chunks(table, everything) == table.chunks
         nothing = db.plan("UPDATE t SET v = 0 WHERE id > 1000000")
         assert model.dirty_chunks(table, nothing) == table.chunks
-
-    def test_flush_blend_follows_the_dirty_chunks_not_the_table(self):
-        # Regression: the flush cost used to blend by the whole-table
-        # DRAM fraction, so an UPDATE whose matches all live in NVM was
-        # charged partly DRAM (free) flush prices once any chunk of the
-        # table had been promoted.
-        db = two_chunk_db("TIERED")
-        table = db.tables["t"]
-        engine = db.tiering
-        chunk = table.chunks[0]
-        engine.tracker.heat[engine.chunk_key(table, chunk)] = 1e6
-        engine.capacity_cells = 10**9
-        assert engine.rebalance() == 1
-        model = CostModel(db)
-        assert 0.0 < model.dram_fraction(table) < 1.0
-        nvm_plan = db.plan("UPDATE t SET v = 0 WHERE id >= 350")
-        nvm_chunks = model.dirty_chunks(table, nvm_plan)
-        assert nvm_chunks == [table.chunks[1]]
-        # NVM-resident matches pay the full NVM write pulse ...
-        assert model._blended_flush_cost(table, nvm_chunks) == model._flush_cost
-        # ... DRAM-resident matches pay the DRAM (zero-pulse) price ...
-        dram_plan = db.plan("UPDATE t SET v = 0 WHERE id < 50")
-        dram_chunks = model.dirty_chunks(table, dram_plan)
-        assert dram_chunks == [table.chunks[0]]
-        assert (model._blended_flush_cost(table, dram_chunks)
-                == model._dram_flush_cost)
-        # ... and the whole-table blend sits strictly between the two.
-        blended = model._blended_flush_cost(table)
-        assert model._dram_flush_cost < blended < model._flush_cost
 
 
 class TestWriteDirection:

@@ -315,10 +315,8 @@ _MATRIX = [
     for layout in ("row", "column")
     for ecc in (False, True)
     for group_lines in (0, 2)
-    # The scrub/remap sites only exist with ECC attached, and the
-    # migration site only on a tiered memory (dedicated tests below).
-    if site != "during-migration"
-    and (ecc or site not in ("mid-scrub", "during-remap"))
+    # The scrub/remap sites only exist with ECC attached.
+    if ecc or site not in ("mid-scrub", "during-remap")
 ]
 
 
@@ -574,97 +572,3 @@ def test_translate_run_inside_rect_still_translates():
     assert moved.subarray == 1
     assert moved.count == 4
     assert (moved.fixed, moved.start) == (1, 2)
-
-
-# -- satellite: crash inside a tier migration ----------------------------------
-def _durable_tiered_db(n_rows=32):
-    """A durable database on the hybrid tier.  Default engine thresholds
-    keep migrations quiet during setup; tests arm them explicitly (after
-    arming the crash injector) via :func:`_make_migration_aggressive`."""
-    db = Database(
-        build_system("TIERED", small=True),
-        cache_config=SMALL_CACHE_CONFIG,
-        verify=False,
-    )
-    db.enable_durability()
-    db.create_table("t", [("id", 8), ("v", 8)], layout="column")
-    db.insert_many("t", [(i, i * 3) for i in range(n_rows)])
-    return db
-
-
-def _make_migration_aggressive(db):
-    db.tiering.epoch_statements = 1
-    db.tiering.promote_threshold = 2.0
-    db.tiering.demote_threshold = 0.5
-
-
-def _heat_until_crash(db):
-    """SELECT until the armed during-migration site fires."""
-    with pytest.raises(SimulatedCrash):
-        for _ in range(16):
-            db.execute("SELECT id, v FROM t WHERE v > 10")
-        pytest.fail("promotion never started; migration site never reached")
-
-
-def test_crash_during_promotion_recovers_consistent_placement():
-    db = _durable_tiered_db()
-    db.execute("UPDATE t SET v = 5555 WHERE id < 6")  # committed
-    db.durability.injector = CrashInjector("during-migration")
-    _make_migration_aggressive(db)
-    _heat_until_crash(db)
-    # The crash fired after the chunk's placement switched to the DRAM
-    # rectangle but before any cell was copied: the live placement
-    # points at garbage.  Recovery must not trust it.
-    rdb, report = recover(db)
-    assert report.records_replayed > 0
-    assert _state(rdb) == {i: (5555 if i < 6 else i * 3) for i in range(32)}
-    # Consistent placement: every chunk lands wholly in exactly one
-    # tier — the non-volatile one (the DRAM tier died with the power).
-    engine = rdb.tiering
-    assert engine is not None
-    for table in rdb.tables.values():
-        for chunk in table.chunks:
-            assert engine.tier_of_placement(chunk.placement) == 0
-    assert engine.dram_resident_cells() == 0
-    assert engine.check_consistency() == []
-    # The committed prefix is intact and the recovered stack is live.
-    rdb.execute("UPDATE t SET v = 1 WHERE id = 0")
-    assert _state(rdb)[0] == 1
-
-
-def test_crash_during_promotion_is_deterministic():
-    def once():
-        db = _durable_tiered_db()
-        db.execute("UPDATE t SET v = 5555 WHERE id < 6")
-        db.durability.injector = CrashInjector("during-migration")
-        _make_migration_aggressive(db)
-        _heat_until_crash(db)
-        rdb, report = recover(db)
-        return _state(rdb), (
-            report.records_scanned, report.records_replayed,
-            report.records_discarded, report.torn_tail,
-        )
-
-    state1, report1 = once()
-    state2, report2 = once()
-    assert state1 == state2
-    assert report1 == report2
-
-
-def test_migration_never_splits_a_durability_barrier():
-    """rebalance() refuses while a WAL group is open (mid-commit)."""
-    db = _durable_tiered_db()
-    _make_migration_aggressive(db)
-    engine = db.tiering
-    table = db.tables["t"]
-    engine.tracker.heat[engine.chunk_key(table, table.chunks[0])] = 1e6
-    dur = db.durability
-    dur.log_tuple_write("t", [0], [("v", 1)])  # open, uncommitted group
-    try:
-        assert dur.pending
-        assert engine.rebalance() == 0  # refused inside the barrier
-        assert engine.promotions == 0
-    finally:
-        dur.begin_statement()  # drop the stale group
-    assert not dur.pending
-    assert engine.rebalance() == 1  # allowed once the barrier closes

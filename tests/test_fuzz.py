@@ -102,7 +102,7 @@ class TestConfigs:
     def test_lattice_sanity(self):
         assert list(CONFIGS)[0] == "dram-row"  # hosts the reference engine
         systems = {c.system for c in CONFIGS.values()}
-        assert systems == {"DRAM", "GS-DRAM", "RRAM", "RC-NVM", "TIERED"}
+        assert systems == {"DRAM", "GS-DRAM", "RRAM", "RC-NVM"}
         assert any(c.group_lines for c in CONFIGS.values())  # Z-order point
         assert any(c.ecc for c in CONFIGS.values())
         assert all(c.key == key for key, c in CONFIGS.items())

@@ -8,6 +8,12 @@ checking the invariants the rest of the stack relies on:
 * completions are monotone on the shared bus (no two bursts overlap);
 * plain FCFS never reorders (completions follow submission order);
 * FR-FCFS never starves a request past the age cap.
+
+``TestEveryKnobCombination`` widens the grid by the two write knobs
+(``write_coalescing`` x ``read_around_write``) and draws the rest of the
+controller's configuration: write-queue depth, drain watermarks, stream
+quantum, age cap, per-request stream tags (a drawn cycle of up to eight)
+and open- or closed-loop submission.
 """
 
 import pytest
@@ -23,6 +29,14 @@ POLICY_GRID = [
     (policy, page)
     for policy in ChannelController.POLICIES
     for page in ChannelController.PAGE_POLICIES
+]
+
+#: Every combination of the controller's switchable knobs.
+KNOB_GRID = [
+    (policy, page, coalescing, around)
+    for policy, page in POLICY_GRID
+    for coalescing in (False, True)
+    for around in (False, True)
 ]
 
 
@@ -136,3 +150,58 @@ class TestSchedulerProperties:
             controller.completion_of(req)
         assert controller.stats.accesses == len(requests)
         assert not controller.pending
+
+
+@st.composite
+def knob_settings(draw):
+    """The drawn half of a controller configuration, plus whether the
+    trace is submitted open-loop (all, then drain) or closed-loop (each
+    request resolved before the next is submitted)."""
+    high = draw(st.integers(0, 4)) / 4
+    return dict(
+        write_queue_depth=draw(st.integers(1, 8)),
+        drain_high=high,
+        drain_low=draw(st.integers(0, int(high * 4))) / 4,
+        stream_quantum=draw(st.integers(1, 4)),
+        age_cap=draw(st.integers(1, 6)),
+        track_streams=draw(st.booleans()),
+    ), draw(st.booleans())
+
+
+class TestEveryKnobCombination:
+    @pytest.mark.parametrize(
+        "policy,page_policy,write_coalescing,read_around_write", KNOB_GRID
+    )
+    @given(trace=request_traces(), knobs=knob_settings(),
+           streams=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    @settings(max_examples=10, deadline=None)
+    def test_requests_complete_once_and_counters_conserve(
+            self, policy, page_policy, write_coalescing, read_around_write,
+            trace, knobs, streams):
+        config, closed_loop = knobs
+        controller = ChannelController(
+            SMALL_RCNVM_GEOMETRY, LPDDR3_800_RCNVM, supports_column=True,
+            queue_depth=6, policy=policy, page_policy=page_policy,
+            adaptive_threshold=2, write_coalescing=write_coalescing,
+            read_around_write=read_around_write, **config,
+        )
+        requests = build_requests(trace)
+        for index, req in enumerate(requests):
+            req.stream = streams[index % len(streams)]
+            controller.submit(req)
+            if closed_loop:
+                controller.completion_of(req)
+        controller.drain()
+        stats = controller.stats
+        assert not controller.pending
+        assert all(req.completion is not None for req in requests)
+        assert all(req.completion >= req.arrival for req in requests)
+        assert stats.accesses == len(requests)
+        assert stats.check_conservation() == []
+        if policy == "frfcfs":
+            assert stats.max_bypass <= config["age_cap"]
+        if config["track_streams"]:
+            tallies = controller.stream_stats.values()
+            assert sum(t[0] + t[1] for t in tallies) == len(requests)
+            assert sum(t[2] for t in tallies) == stats.buffer_hits
+            assert sum(t[3] for t in tallies) == stats.total_latency_cycles
