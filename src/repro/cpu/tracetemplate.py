@@ -27,6 +27,20 @@ Correctness is epoch-based, never time-based:
   an idempotent UPDATE re-writing the same constants caches fine, which
   is exactly the miss→miss→hit fixed point repeated statements reach.
 
+A repeat of an exact statement — the same SQL text, parameters,
+``selectivity_hint`` and effective ``group_lines`` — skips parse and
+plan as well: each template keeps a **plan memo** from the statement to
+the binding it planned to, filled whenever that binding is stored, hit
+or rebound.  :meth:`TraceTemplateCache.recall` serves a memoized
+statement as a hit while its binding is valid by the epochs above, which
+cover everything the planner reads (schema and indexes, chunk layout and
+rotation, predicate-column data for selectivity and the UPDATE cost
+model); a stale entry falls through to parse, plan and
+:meth:`~TraceTemplateCache.fetch`, so every statement is counted once,
+as it would be without the memo.  The memo stands down while ECC is on
+(``ecc_replans`` counts those statements): planning's functional reads
+run ECC demand checks, which a memoized plan would skip.
+
 A **rebind** is the middle path: a known template arrives with new
 parameter values.  The statement is re-planned (cheap — no trace is
 generated), and when the new plan differs from a cached sibling only in
@@ -68,6 +82,7 @@ class TemplateCacheStats:
         "rebind_ns": "counter",
         "durability_bypasses": "counter",
         "verify_bypasses": "counter",
+        "ecc_replans": "counter",
         "entries": "gauge",
     }
 
@@ -84,6 +99,9 @@ class TemplateCacheStats:
         # applied: durability is enabled, else verification is on.
         self.durability_bypasses = 0
         self.verify_bypasses = 0
+        # Cached statements planned afresh because ECC is on (the plan
+        # memo stands down: planning's reads run ECC demand checks).
+        self.ecc_replans = 0
         self.entries = 0  # live bindings across all templates (gauge)
 
     @property
@@ -111,7 +129,7 @@ class TemplateCacheStats:
 class _Template:
     """All cached bindings of one statement template."""
 
-    __slots__ = ("layout_epoch", "bindings", "structural")
+    __slots__ = ("layout_epoch", "bindings", "structural", "plans")
 
     def __init__(self, layout_epoch):
         self.layout_epoch = layout_epoch
@@ -119,6 +137,10 @@ class _Template:
         self.bindings = {}
         #: structural key -> a representative cached plan (rebind donor)
         self.structural = {}
+        #: exact statement (:meth:`TraceTemplateCache.statement_key`) ->
+        #: ``(plan, bindings[plan])``: the plan memo.  The binding entry
+        #: carries the versions it was stored under, so it validates itself.
+        self.plans = {}
 
 
 def _touched_tables(plan):
@@ -252,6 +274,54 @@ class TraceTemplateCache:
                 return None
             versions[name] = (table.geometry_epoch, table.content_version)
         return versions
+
+    # -- plan memo -----------------------------------------------------------
+    def statement_key(self, sql, params, group_lines):
+        """The plan memo's key for one exact statement: the SQL text as
+        given, the parameters as sorted items and the effective
+        ``group_lines``.  None, so the statement is planned as usual,
+        when its parameters do not hash, or while ECC is on (counted in
+        ``ecc_replans``): planning's functional reads run ECC demand
+        checks, which a memoized plan would skip."""
+        database = self.database
+        if database.ecc is not None:
+            self.stats.ecc_replans += 1
+            return None
+        if group_lines is None:
+            group_lines = database.default_group_lines
+        try:
+            key = (sql, tuple(sorted(params.items())) if params else (), group_lines)
+            hash(key)
+        except TypeError:
+            return None
+        return key
+
+    def recall(self, key, statement):
+        """``(plan, (result, trace))`` when ``statement`` is memoized under
+        template ``key`` and the binding its plan names is still valid,
+        counted as a hit; else None, counting nothing, and the caller
+        parses, plans and fetches.
+
+        The binding's epochs cover everything the planner reads (schema
+        and indexes, chunk geometry, predicate-column data), so while
+        they hold the statement plans to the same plan again."""
+        template = self._templates.get(key)
+        if template is None or template.layout_epoch != self.database.layout_epoch:
+            return None
+        memo = template.plans.get(statement)
+        if memo is None:
+            return None
+        plan, (result, trace, versions) = memo
+        if versions != self.versions_of(plan):
+            return None
+        self.stats.hits += 1
+        return plan, (_copy_result(result), trace)
+
+    def memoize(self, key, statement, plan):
+        """Remember that ``statement`` plans to ``plan``, whose binding
+        under template ``key`` was just stored, hit or rebound."""
+        template = self._templates[key]
+        template.plans[statement] = (plan, template.bindings[plan])
 
     # -- lookup --------------------------------------------------------------
     def fetch(self, key, plan):

@@ -84,11 +84,10 @@ def run_wear_cell(write_coalescing=False, read_around_write=False,
                                   cache_config=cache_config)
     statements = build_workload(rounds=rounds)
     totals, cycles, memories = run_workload(db, statements, _SUM_KEYS)
-    read_hist = LatencyHistogram()
-    for memory in memories:
-        read_hist = read_hist.merged(
-            LatencyHistogram.from_dict(memory["read_latency_hist"])
-        )
+    read_hist = LatencyHistogram.combined([
+        LatencyHistogram.from_dict(memory["read_latency_hist"])
+        for memory in memories
+    ])
     return {
         "write_coalescing": write_coalescing,
         "read_around_write": read_around_write,

@@ -250,7 +250,6 @@ class CostModel:
         words = sum(
             table.schema.field(name).words for name, _value in plan.assignments
         ) or 1
-        dirty = self.dirty_chunks(table, plan)
         write_method = getattr(plan, "write_method", ScanMethod.ROW)
         if write_method is ScanMethod.COLUMN:
             # Column-direction write-back: every assigned field word is one
@@ -259,6 +258,7 @@ class CostModel:
             # pulses paid on flush) scales with words x chunks, not with
             # matches.  Line traffic is capped by the column lines that
             # exist in those chunks.
+            dirty = self.dirty_chunks(table, plan)
             n_chunks = max(1, len(dirty))
             line_cap = sum(
                 -(-chunk.height // WORDS_PER_LINE) for chunk in dirty

@@ -395,19 +395,32 @@ class Database:
             # left behind stay uncommitted in the log.
             self.durability.begin_statement()
         with obs.span("query", sql=sql, system=self.memory.name) as qsp:
-            statement = parse(sql)
-            plan = self.planner.plan(
-                statement,
-                params=params,
-                selectivity_hint=selectivity_hint,
-                group_lines=group_lines,
-            )
             verify = self.verify if verify is None else verify
             # The template cache stands down under durability (every
             # statement must log WAL records) and verification (the
             # point of verify is to re-execute), and counts why.
             cache = self.template_cache
             use_cache = cache is not None and self.durability is None and not verify
+            cached = memo_key = None
+            if use_cache:
+                template_key = cache.template_key(
+                    sql, selectivity_hint, group_lines
+                )
+                memo_key = cache.statement_key(sql, params, group_lines)
+                if memo_key is not None:
+                    cached = cache.recall(template_key, memo_key)
+            if cached is not None:
+                # A repeat whose memoized binding is still valid: a hit
+                # with no parse, plan or fetch.
+                plan, cached = cached
+            else:
+                statement = parse(sql)
+                plan = self.planner.plan(
+                    statement,
+                    params=params,
+                    selectivity_hint=selectivity_hint,
+                    group_lines=group_lines,
+                )
             if cache is not None and not use_cache:
                 if self.durability is not None:
                     cache.stats.durability_bypasses += 1
@@ -416,12 +429,10 @@ class Database:
             # Snapshot before the reference pass: its functional reads run the
             # same ECC demand checks, so recovery can fire there too.
             events_before = len(self.degradation_events)
-            cached = None
-            if use_cache:
-                template_key = cache.template_key(
-                    sql, selectivity_hint, group_lines
-                )
+            if use_cache and cached is None:
                 cached = cache.fetch(template_key, plan)
+                if cached is not None and memo_key is not None:
+                    cache.memoize(template_key, memo_key, plan)
             if cached is not None:
                 result, trace = cached
             else:
@@ -432,8 +443,12 @@ class Database:
                 result, trace = self.executor.execute(plan, stream=stream)
                 if expected is not None:
                     _check_result(sql, result, expected)
-                if use_cache:
-                    cache.store(template_key, plan, result, trace, versions_before)
+                if (
+                    use_cache
+                    and cache.store(template_key, plan, result, trace, versions_before)
+                    and memo_key is not None
+                ):
+                    cache.memoize(template_key, memo_key, plan)
             timing = None
             if simulate:
                 if fresh_timing:

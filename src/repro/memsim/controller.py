@@ -646,10 +646,13 @@ class ChannelController:
         return now
 
     def reset(self):
-        for queue in self.read_queues:
-            queue.clear()
-        for queue in self.write_queues:
-            queue.clear()
+        if self.reads_pending or self.writes_pending:
+            # Every queued entry is counted pending, so with nothing
+            # pending the queues are already empty.
+            for queue in self.read_queues:
+                queue.clear()
+            for queue in self.write_queues:
+                queue.clear()
         self.reads_pending = 0
         self.writes_pending = 0
         self.draining = False

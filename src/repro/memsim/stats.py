@@ -1,6 +1,7 @@
 """Statistics counters for the memory system."""
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 
 class LatencyHistogram:
@@ -32,12 +33,17 @@ class LatencyHistogram:
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.count += 1
 
-    def merged(self, other):
-        result = LatencyHistogram()
-        result.count = self.count + other.count
-        result.buckets = dict(self.buckets)
-        for bucket, n in other.buckets.items():
-            result.buckets[bucket] = result.buckets.get(bucket, 0) + n
+    @classmethod
+    def combined(cls, hists):
+        """A new histogram holding every sample of ``hists``."""
+        result = cls()
+        buckets = result.buckets
+        count = 0
+        for hist in hists:
+            count += hist.count
+            for bucket, n in hist.buckets.items():
+                buckets[bucket] = buckets.get(bucket, 0) + n
+        result.count = count
         return result
 
     def percentile(self, pct):
@@ -269,16 +275,7 @@ class MemoryStats:
 
     def merge(self, other: "MemoryStats") -> "MemoryStats":
         """Return the element-wise combination of two stat blocks."""
-        merged = MemoryStats()
-        for name in vars(self):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if isinstance(mine, LatencyHistogram):
-                setattr(merged, name, mine.merged(theirs))
-            elif name in _MAX_FIELDS:
-                setattr(merged, name, max(mine, theirs))
-            else:
-                setattr(merged, name, mine + theirs)
-        return merged
+        return combine_stats((self, other))
 
     def check_conservation(self):
         """Internal-consistency violations of this stat block, as strings.
@@ -358,8 +355,21 @@ class MemoryStats:
         return data
 
 
-#: Fields combined with max() (not +) when two stat blocks are merged:
-#: the high-water marks, which ``INSTRUMENTS`` declares as gauges.
-_MAX_FIELDS = frozenset(
-    name for name, kind in MemoryStats.INSTRUMENTS.items() if kind == "gauge"
-)
+#: Every field in declaration order, read in one call per block.
+_FIELDS = tuple(f.name for f in fields(MemoryStats))
+_read_fields = operator.attrgetter(*_FIELDS)
+#: How :func:`combine_stats` folds a field's column, by the kind
+#: ``INSTRUMENTS`` declares: counters add, gauges (high-water marks) take
+#: the max, histograms pool their samples.
+_FOLD_BY_KIND = {"counter": sum, "gauge": max, "histogram": LatencyHistogram.combined}
+_FOLDS = tuple(_FOLD_BY_KIND[MemoryStats.INSTRUMENTS[name]] for name in _FIELDS)
+
+
+def combine_stats(blocks):
+    """One new :class:`MemoryStats` combining ``blocks`` field by field.
+
+    The one merge behind :meth:`MemoryStats.merge` and
+    ``MemorySystem.stats``.  Its histograms are new objects, so mutating
+    the result never touches a block it was combined from."""
+    columns = zip(*map(_read_fields, blocks))
+    return MemoryStats(*[fold(column) for fold, column in zip(_FOLDS, columns)])

@@ -28,7 +28,7 @@ from repro.geometry import (
 )
 from repro.memsim.controller import ChannelController
 from repro.memsim.request import MemRequest
-from repro.memsim.stats import MemoryStats
+from repro.memsim.stats import MemoryStats, combine_stats
 
 
 class MemorySystem:
@@ -147,10 +147,8 @@ class MemorySystem:
     # -- statistics ---------------------------------------------------------
     @property
     def stats(self) -> MemoryStats:
-        merged = MemoryStats()
-        for ctrl in self.controllers:
-            merged = merged.merge(ctrl.stats)
-        return merged
+        """Every channel's statistics combined into one new block."""
+        return combine_stats([ctrl.stats for ctrl in self.controllers])
 
     @property
     def track_streams(self):

@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from conftest import make_database, simple_rows
 from repro.imdb.cost import CostModel, explain_costs
 from repro.imdb.planner import FetchMethod, ScanMethod

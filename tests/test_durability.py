@@ -17,7 +17,6 @@ from repro.durability import (
     CrashInjector,
     SimulatedCrash,
     RecordType,
-    WalError,
     WalFullError,
     WalReader,
     WalRegion,
@@ -26,7 +25,6 @@ from repro.durability import (
     recover,
 )
 from repro.durability.wal import (
-    FRAME_WORDS,
     create_table_payload,
     drop_table_payload,
     insert_payload,

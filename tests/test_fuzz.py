@@ -9,7 +9,6 @@ the first real bug the fuzzer found.
 
 import pytest
 
-from repro.errors import SqlError
 from repro.fuzz import CONFIGS, CaseGenerator, run_case, run_fuzz, shrink_case
 from repro.fuzz.grammar import FuzzCase, TableSpec, render_sql
 from repro.fuzz.oracle import SqliteOracle, build_database

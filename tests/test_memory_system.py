@@ -1,6 +1,11 @@
 """MemorySystem facade: factories, capabilities, routing, statistics."""
 
+import copy
+import functools
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.addressing import Coordinate, Orientation
 from repro.cpu.multicore import MulticoreMachine
@@ -143,6 +148,97 @@ class TestStats:
         snap = memory.stats.snapshot()
         assert snap["accesses"] == 1
         assert "buffer_miss_rate" in snap and "average_latency" in snap
+
+
+def reference_merge(mine, theirs):
+    """The per-field reflection merge ``MemoryStats.merge`` ran before one
+    routine combined every block, kept as the reference for that routine:
+    histograms pool their samples, gauges take the max, the rest adds."""
+    gauges = {
+        name for name, kind in MemoryStats.INSTRUMENTS.items() if kind == "gauge"
+    }
+    merged = MemoryStats()
+    for name in vars(mine):
+        a, b = getattr(mine, name), getattr(theirs, name)
+        if isinstance(a, LatencyHistogram):
+            hist = LatencyHistogram()
+            hist.count = a.count + b.count
+            hist.buckets = dict(a.buckets)
+            for bucket, n in b.buckets.items():
+                hist.buckets[bucket] = hist.buckets.get(bucket, 0) + n
+            setattr(merged, name, hist)
+        elif name in gauges:
+            setattr(merged, name, max(a, b))
+        else:
+            setattr(merged, name, a + b)
+    return merged
+
+
+@st.composite
+def stat_blocks(draw):
+    """A ``MemoryStats`` with every counter, gauge and histogram drawn."""
+    block = MemoryStats()
+    for name, kind in MemoryStats.INSTRUMENTS.items():
+        if kind == "histogram":
+            hist = getattr(block, name)
+            hist.buckets = draw(st.dictionaries(
+                st.integers(0, 40), st.integers(1, 10**6), max_size=6
+            ))
+            hist.count = sum(hist.buckets.values())
+        else:
+            setattr(block, name, draw(st.integers(0, 10**12)))
+    return block
+
+
+def _fields(stats):
+    """Every field's value, histograms as plain ``(buckets, count)``."""
+    return {
+        name: (value.buckets, value.count)
+        if isinstance(value, LatencyHistogram) else value
+        for name, value in vars(stats).items()
+    }
+
+
+class TestMergeMatchesReference:
+    """``MemorySystem.stats`` and ``MemoryStats.merge`` share one merge,
+    driven by ``INSTRUMENTS``; both must equal the per-field reference."""
+
+    @staticmethod
+    def _system(blocks):
+        memory = make_small_rcnvm()
+        memory.controllers = [SimpleNamespace(stats=block) for block in blocks]
+        return memory
+
+    @settings(deadline=None)
+    @given(st.lists(stat_blocks(), min_size=1, max_size=4))
+    def test_system_stats_and_merge_equal_the_reference(self, blocks):
+        expected = functools.reduce(reference_merge, blocks, MemoryStats())
+        merged = functools.reduce(MemoryStats.merge, blocks, MemoryStats())
+        for got in (self._system(blocks).stats, merged):
+            assert _fields(got) == _fields(expected)
+            assert got.snapshot() == expected.snapshot()
+        pairwise = blocks[0].merge(blocks[-1])
+        assert _fields(pairwise) == _fields(reference_merge(blocks[0], blocks[-1]))
+
+    @settings(deadline=None)
+    @given(st.lists(stat_blocks(), min_size=1, max_size=4))
+    def test_mutating_a_merged_block_changes_no_controller(self, blocks):
+        memory = self._system(blocks)
+        before = [_fields(copy.deepcopy(block)) for block in blocks]
+        expected = memory.stats.snapshot()
+        merged = memory.stats
+        merged.latency_hist.record(7)
+        merged.read_latency_hist.buckets.clear()
+        merged.reads += 1
+        merged.max_bypass += 1
+        pair = blocks[0].merge(blocks[-1])
+        pair.latency_hist.buckets[3] = 99
+        pair.read_latency_hist.record(12)
+        assert [_fields(block) for block in blocks] == before
+        assert memory.stats.snapshot() == expected
+
+    def test_no_blocks_merge_to_fresh_stats(self):
+        assert self._system([]).stats == MemoryStats()
 
 
 #: The full snapshot contract.  Downstream consumers (energy model, figure

@@ -406,7 +406,12 @@ class TestProfiling:
             self.stats.misses += 1
             return None
 
+        # A repeat hits through the plan memo before it fetches, so the
+        # planted cache recalls nothing either.
         monkeypatch.setattr(TraceTemplateCache, "fetch", always_miss)
+        monkeypatch.setattr(
+            TraceTemplateCache, "recall", lambda self, key, statement: None
+        )
         capsys.readouterr()
         assert main(argv) == 1
         assert "template cache hits 0 != 2" in capsys.readouterr().err

@@ -365,6 +365,27 @@ class TestOutcomeMemo:
         assert simulator_state(db.machine) == _state_after(fin)
 
 
+    def test_mutating_a_committed_snapshot_changes_no_stats(self):
+        # A commit hands out copies of the outcome's memory snapshot,
+        # nested histogram dicts included: mutating one changes neither a
+        # controller's statistics nor the next commit's snapshot.
+        db = _small_db()
+        fin = _read_trace(db).finalize()
+        db.reset_timing()
+        first = db.machine.run(fin)
+        expected = copy.deepcopy(first.memory)
+        controllers = copy.deepcopy(
+            [vars(ctrl.stats) for ctrl in db.memory.controllers]
+        )
+        first.memory["reads"] += 1
+        first.memory["latency_hist"].clear()
+        first.memory["read_latency_hist"][1] = 99
+        db.memory.stats.latency_hist.record(7)
+        assert [vars(ctrl.stats) for ctrl in db.memory.controllers] == controllers
+        db.reset_timing()
+        assert db.machine.run(fin).memory == expected
+
+
 def _lists_in(value):
     """Every Python list inside ``value`` (tuples and dicts walked)."""
     if isinstance(value, list):

@@ -9,12 +9,16 @@ and uncached databases across system configs and demands bit-identical
 results and cycle counts.
 """
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
+import repro.imdb.database as database_module
 from conftest import make_database, simple_rows
-from repro.cpu.tracetemplate import TraceTemplateCache
 from repro.fuzz.grammar import CaseGenerator, render_sql
 from repro.fuzz.oracle import CONFIGS, build_database, normalize
+from repro.imdb.planner import FetchMethod, Planner
 
 
 def make_cached_db(system="RC-NVM", rows=200, **kwargs):
@@ -256,6 +260,101 @@ class TestBypass:
         assert cache.stats.misses == 2
 
 
+class TestPlanMemo:
+    """A repeat of an exact statement skips parse and plan while the
+    binding its memoized plan names is valid, and plans afresh whenever
+    anything the planner reads has changed."""
+
+    @staticmethod
+    def _planning(db, sql, params=None, **kwargs):
+        """Execute once; returns the outcome and how many times the
+        statement was parsed and planned."""
+        with mock.patch.object(
+            database_module, "parse", wraps=database_module.parse
+        ) as parse, mock.patch.object(
+            Planner, "plan", autospec=True, side_effect=Planner.plan
+        ) as plan:
+            outcome = db.execute(sql, params=params, **kwargs)
+        return outcome, parse.call_count, plan.call_count
+
+    def test_repeat_skips_parse_and_plan(self):
+        db = make_cached_db()
+        first, parsed, planned = self._planning(db, SUM_SQL, {"x": 100})
+        assert (parsed, planned) == (1, 1)
+        second, parsed, planned = self._planning(db, SUM_SQL, {"x": 100})
+        assert (parsed, planned) == (0, 0)
+        assert second.plan == first.plan
+        assert second.result.value == first.result.value
+        assert second.timing.simulated() == first.timing.simulated()
+        stats = db.template_cache.stats
+        assert (stats.hits, stats.misses, stats.lookups) == (1, 1, 2)
+
+    def test_update_of_a_predicate_column_replans(self):
+        # No hint: selectivity decides the fetch.  Most of t matches
+        # ``a > 300`` at first, so the memoized plan scans whole rows;
+        # once the UPDATE zeroes every ``a`` nothing matches, and the
+        # statement must plan per-tuple row fetches again.
+        sql = "SELECT * FROM t WHERE a > x"
+        db = make_cached_db()
+        for _ in range(2):
+            before = db.execute(sql, params={"x": 300})
+        assert before.plan.fetch_method is FetchMethod.FULL_SCAN
+        db.execute("UPDATE t SET a = v WHERE b >= y", params={"v": 0, "y": 0})
+        outcome, _parsed, planned = self._planning(db, sql, {"x": 300})
+        assert planned == 1
+        assert outcome.plan.fetch_method is FetchMethod.ROW
+        assert outcome.result.rows == []
+
+    def test_create_index_replans_to_the_index(self):
+        sql = "SELECT SUM(b) FROM t WHERE a = x"
+        db = make_cached_db()
+        value = db.tables["t"].read_tuple(0)[0]
+        for _ in range(2):
+            before = db.execute(sql, params={"x": value})
+        assert not before.plan.use_index
+        db.create_index("t", "a")
+        outcome, _parsed, planned = self._planning(db, sql, {"x": value})
+        assert planned == 1 and outcome.plan.use_index
+        assert outcome.result.value == before.result.value
+
+    def test_stands_down_under_ecc_and_counts_it(self):
+        db = make_cached_db()
+        for _ in range(2):
+            db.execute(SUM_SQL, params={"x": 100})
+        stats = db.template_cache.stats
+        assert stats.ecc_replans == 0
+        db.enable_reliability()
+        for count in (1, 2):
+            outcome, parsed, planned = self._planning(db, SUM_SQL, {"x": 100})
+            assert (parsed, planned) == (1, 1)
+            assert stats.ecc_replans == count
+        assert stats.hits == 3  # still served from the cache, after planning
+        assert db.template_cache.stats.snapshot()["ecc_replans"] == 2
+
+    def test_unhashable_parameters_still_execute(self):
+        db = make_cached_db()
+        expected = db.execute(SUM_SQL, params={"x": 100}).result.value
+        for params in ({"x": 100, "tags": ["unused"]}, {"x": np.array(100)}):
+            for _ in range(2):
+                outcome, parsed, planned = self._planning(db, SUM_SQL, params)
+                assert (parsed, planned) == (1, 1)
+                assert outcome.result.value == expected
+        assert db.template_cache.stats.hits == 4
+
+    def test_changed_default_group_lines_replans(self):
+        sql = "SELECT a, b FROM t"
+        db = make_cached_db()
+        for _ in range(2):
+            before = db.execute(sql)
+        assert before.plan.group_lines == 0
+        db.default_group_lines = 4
+        outcome, _parsed, planned = self._planning(db, sql)
+        assert planned == 1 and outcome.plan.group_lines == 4
+        # An explicit group_lines names its own statement.
+        explicit, _parsed, planned = self._planning(db, sql, group_lines=0)
+        assert planned == 1 and explicit.plan.group_lines == 0
+
+
 class TestStatsSurface:
     def test_snapshot_fields(self):
         db = make_cached_db()
@@ -283,11 +382,18 @@ class TestStatsSurface:
 LATTICE_KEYS = ("dram-row", "rcnvm-col", "rcnvm-col-z", "rcnvm-row-ecc")
 
 
+#: The template cache's counters, which the plan memo must not change.
+_COUNTERS = ("hits", "misses", "rebinds", "invalidations", "stores",
+             "entries", "durability_bypasses", "verify_bypasses")
+
+
 @pytest.mark.parametrize("config_key", LATTICE_KEYS)
 def test_fuzz_lattice_templating_on_vs_off(config_key):
     """Fuzz-generated workloads (reads, updates, joins, repeats) served
-    through the template cache must be indistinguishable — results and
-    simulated cycles — from an uncached database on the same config."""
+    through the template cache must be indistinguishable — results,
+    plans and everything the replay simulated — from an uncached
+    database on the same config, and a cache whose plan memo is off must
+    count every lookup as the cache with it does."""
     from repro.errors import ReproError
 
     config = CONFIGS[config_key]
@@ -297,6 +403,8 @@ def test_fuzz_lattice_templating_on_vs_off(config_key):
         plain = build_database(config, case)
         cached = build_database(config, case)
         cached.enable_template_cache()
+        memoless = build_database(config, case)
+        memoless.enable_template_cache().statement_key = lambda *args: None
         # Each statement runs twice so repeats exercise the hit path.
         for stmt in case.statements:
             if stmt.get("expect_error"):
@@ -306,14 +414,23 @@ def test_fuzz_lattice_templating_on_vs_off(config_key):
                 try:
                     expected = plain.execute(sql, params=params)
                 except ReproError as exc:
-                    with pytest.raises(type(exc)):
-                        cached.execute(sql, params=params)
+                    for db in (cached, memoless):
+                        with pytest.raises(type(exc)):
+                            db.execute(sql, params=params)
                     continue
-                got = cached.execute(sql, params=params)
                 tag = (config_key, index, sql)
-                assert normalize(got.result) == normalize(expected.result), tag
-                assert got.timing.cycles == expected.timing.cycles, tag
+                for db in (cached, memoless):
+                    got = db.execute(sql, params=params)
+                    assert normalize(got.result) == normalize(expected.result), tag
+                    assert got.plan == expected.plan, tag
+                    assert got.timing.simulated() == expected.timing.simulated(), tag
         stats = cached.template_cache.stats
+        assert [getattr(stats, name) for name in _COUNTERS] == [
+            getattr(memoless.template_cache.stats, name) for name in _COUNTERS
+        ]
         if config.ecc:
+            # Under ECC every served statement plans afresh, and counts it.
+            assert stats.ecc_replans >= stats.lookups > 0
             continue  # demand-check recoveries may legitimately invalidate
         assert stats.lookups == stats.hits + stats.misses + stats.rebinds
+        assert stats.hits > 0
