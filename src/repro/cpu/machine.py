@@ -61,9 +61,6 @@ class RunResult:
     memory: dict = field(default_factory=dict)
     caches: dict = field(default_factory=dict)
     synonym: dict = field(default_factory=dict)
-    #: Chunk remaps forced by uncorrectable errors during this statement
-    #: (repro.reliability.recovery.DegradationEvent instances).
-    degradation_events: list = field(default_factory=list)
     #: Exported span tree for this statement (``Span.to_dict`` form),
     #: populated by ``Database.execute`` when a tracer is installed
     #: (see :mod:`repro.obs.tracer`); None when tracing is disabled.
@@ -82,14 +79,13 @@ class RunResult:
         return self.llc_misses + self.writebacks
 
     def simulated(self):
-        """Every field but ``spans`` and ``degradation_events``, by name:
-        what the replay simulated, not how the statement was observed.
-        Replays of one trace from the same timing reset agree on all of
-        it."""
+        """Every field but ``spans``, by name: what the replay simulated,
+        not how the statement was observed.  Replays of one trace from
+        the same timing reset agree on all of it."""
         return {
             f.name: getattr(self, f.name)
             for f in fields(self)
-            if f.name not in ("spans", "degradation_events")
+            if f.name != "spans"
         }
 
 
@@ -359,9 +355,9 @@ class Machine:
     def flush_caches(self, now=0, on_line=None):
         """Write every dirty cached line back to memory and drain it.
 
-        Used between benchmark phases (e.g. before a reliability fault
-        campaign samples wear) and as the durability persistence barrier
-        so buffered writes reach the cell arrays.  Returns the number of
+        Used as the durability persistence barrier so buffered writes
+        reach the cell arrays, and by the fuzzer's write-conservation
+        check.  Returns the number of
         lines actually written back — gather-orientation lines are
         read-only snapshots and post no write, so they are not counted.
         ``on_line`` (if given) is called with the running count after

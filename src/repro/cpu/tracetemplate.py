@@ -18,9 +18,8 @@ Correctness is epoch-based, never time-based:
   index create/drop).  A template cached under an older epoch is
   invalidated on its next lookup.
 * ``Table.geometry_epoch`` — bumped when chunk geometry changes
-  (inserts appending chunks, uncorrectable-error remaps, recovery
-  re-placement).  Cached traces address the old cells; any bump kills
-  every entry touching the table.
+  (inserts appending chunks).  Cached traces address the old cells; any
+  bump kills every entry touching the table.
 * ``Table.content_version`` — bumped by functional writes that *change*
   a cell.  An UPDATE that mutated data invalidates dependents (and is
   itself never stored, because its own execution changed the versions);
@@ -37,9 +36,7 @@ cover everything the planner reads (schema and indexes, chunk layout and
 rotation, predicate-column data for selectivity and the UPDATE cost
 model); a stale entry falls through to parse, plan and
 :meth:`~TraceTemplateCache.fetch`, so every statement is counted once,
-as it would be without the memo.  The memo stands down while ECC is on
-(``ecc_replans`` counts those statements): planning's functional reads
-run ECC demand checks, which a memoized plan would skip.
+as it would be without the memo.
 
 A **rebind** is the middle path: a known template arrives with new
 parameter values.  The statement is re-planned (cheap — no trace is
@@ -82,7 +79,6 @@ class TemplateCacheStats:
         "rebind_ns": "counter",
         "durability_bypasses": "counter",
         "verify_bypasses": "counter",
-        "ecc_replans": "counter",
         "entries": "gauge",
     }
 
@@ -99,9 +95,6 @@ class TemplateCacheStats:
         # applied: durability is enabled, else verification is on.
         self.durability_bypasses = 0
         self.verify_bypasses = 0
-        # Cached statements planned afresh because ECC is on (the plan
-        # memo stands down: planning's reads run ECC demand checks).
-        self.ecc_replans = 0
         self.entries = 0  # live bindings across all templates (gauge)
 
     @property
@@ -280,15 +273,9 @@ class TraceTemplateCache:
         """The plan memo's key for one exact statement: the SQL text as
         given, the parameters as sorted items and the effective
         ``group_lines``.  None, so the statement is planned as usual,
-        when its parameters do not hash, or while ECC is on (counted in
-        ``ecc_replans``): planning's functional reads run ECC demand
-        checks, which a memoized plan would skip."""
-        database = self.database
-        if database.ecc is not None:
-            self.stats.ecc_replans += 1
-            return None
+        when its parameters do not hash."""
         if group_lines is None:
-            group_lines = database.default_group_lines
+            group_lines = self.database.default_group_lines
         try:
             key = (sql, tuple(sorted(params.items())) if params else (), group_lines)
             hash(key)
@@ -370,11 +357,6 @@ class TraceTemplateCache:
             return None
         start = time.perf_counter_ns()
         result = _recompute_result(self.database, plan)
-        if versions != self.versions_of(plan):
-            # The functional recompute itself moved data (an ECC demand
-            # read fired a chunk remap): the donor trace is stale now.
-            self._drop(key, template)
-            return None
         self.stats.rebind_ns += time.perf_counter_ns() - start
         self.stats.rebinds += 1
         self._insert(template, plan, result, trace, versions)
@@ -386,8 +368,8 @@ class TraceTemplateCache:
 
         ``versions_before`` is the version snapshot taken before the
         executor ran; if execution itself changed any touched table (an
-        UPDATE that modified cells, a mid-execution remap), the trace
-        describes a state that no longer exists and is not stored.
+        UPDATE that modified cells), the trace describes a state that no
+        longer exists and is not stored.
         """
         if versions_before is None or versions_before != self.versions_of(plan):
             return False

@@ -13,21 +13,12 @@ Sites (see :mod:`repro.durability.manager` for where each fires):
 * ``pre-flush`` — statement logged, before the persistence barrier;
 * ``mid-flush`` — between two dirty-line writebacks of the barrier;
 * ``post-flush-pre-commit`` — lines durable, commit marker not yet
-  written (the classic torn-commit window);
-* ``mid-scrub`` — between two subarrays of a background scrub sweep;
-* ``during-remap`` — an uncorrectable-chunk remap retired the old
-  rectangle and claimed a new one, but has not rewritten the cells.
+  written (the classic torn-commit window).
 """
 
 import random
 
-CRASH_SITES = (
-    "pre-flush",
-    "mid-flush",
-    "post-flush-pre-commit",
-    "mid-scrub",
-    "during-remap",
-)
+CRASH_SITES = ("pre-flush", "mid-flush", "post-flush-pre-commit")
 
 
 class SimulatedCrash(Exception):
@@ -64,11 +55,11 @@ class CrashInjector:
         self.fired = False
 
     @classmethod
-    def from_seed(cls, seed, sites=CRASH_SITES, max_occurrence=3):
+    def from_seed(cls, seed, max_occurrence=3):
         """A deterministic random injector: same seed, same crash."""
         rng = random.Random(seed)
         return cls(
-            site=sites[rng.randrange(len(sites))],
+            site=CRASH_SITES[rng.randrange(len(CRASH_SITES))],
             occurrence=rng.randint(1, max_occurrence),
         )
 

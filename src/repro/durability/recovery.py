@@ -7,10 +7,9 @@ them — and the allocator is deterministic, so replaying those
 operations against a fresh :class:`~repro.imdb.database.Database`
 *sharing the crashed instance's* :class:`~repro.imdb.physmem.PhysicalMemory`
 reproduces identical chunk/index/WAL placements and rewrites every
-owned cell from logged data.  Torn writes of the crashed statement,
-un-flushed uncommitted effects, and even latent cell faults inside
-table rectangles are all overwritten by the redo pass: recovery is
-repair.
+owned cell from logged data.  Torn writes of the crashed statement and
+un-flushed uncommitted effects inside table rectangles are all
+overwritten by the redo pass: recovery is repair.
 
 Uncommitted records (a group whose seq has no commit marker) are
 discarded; the tail of the log past the last committed record is
@@ -101,11 +100,6 @@ def recover(crashed, verify_placement=True):
         finally:
             new_dur.replaying = False
         new_dur.resume(end_offset, max_seq + 1)
-        if crashed.ecc is not None:
-            budget = (
-                crashed.scrubber.cycle_budget if crashed.scrubber else None
-            )
-            db.enable_reliability(scrub_cycle_budget=budget)
         report = RecoveryReport(
             records_scanned=len(records),
             records_replayed=replayed,

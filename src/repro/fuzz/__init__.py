@@ -6,7 +6,7 @@ schemas, data distributions, and SQL statements constrained to the
 supported dialect; the differential oracle (:mod:`repro.fuzz.oracle`)
 runs every statement through the full simulated stack over each system
 configuration (DRAM, row-only NVM, GS-DRAM, RC-NVM, with and without
-ECC and group caching) and cross-checks the results against the
+group caching) and cross-checks the results against the
 functional :class:`~repro.imdb.reference.ReferenceEngine` *and* an
 in-memory ``sqlite3`` third oracle; the trace-invariant checker
 (:mod:`repro.fuzz.invariants`) asserts that every simulated access

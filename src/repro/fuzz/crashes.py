@@ -36,14 +36,8 @@ from repro.harness.systems import SMALL_CACHE_CONFIG, build_system
 from repro.imdb.database import Database
 
 #: Configurations the durable loop runs: every RC-NVM point of the
-#: lattice (row, column, Z-order group caching, and ECC).
-DURABLE_CONFIG_KEYS = ("rcnvm-row", "rcnvm-col", "rcnvm-col-z", "rcnvm-row-ecc")
-
-#: Sites the seeded injector arms during fuzzing.  The scrub/remap
-#: sites need ECC plus injected cell faults to be reachable and are
-#: exercised by the dedicated determinism tests and the ``recover``
-#: experiment instead.
-CRASH_FUZZ_SITES = ("pre-flush", "mid-flush", "post-flush-pre-commit")
+#: lattice (row, column, and Z-order group caching).
+DURABLE_CONFIG_KEYS = ("rcnvm-row", "rcnvm-col", "rcnvm-col-z")
 
 
 def build_durable_database(config, case, wal_rows=None):
@@ -67,8 +61,6 @@ def build_durable_database(config, case, wal_rows=None):
             db.create_index(spec.name, fname)
         for fname in spec.ordered_indexes:
             db.create_ordered_index(spec.name, fname)
-    if config.ecc:
-        db.enable_reliability()
     return db
 
 
@@ -148,9 +140,7 @@ def _run_config(case, config, injector_seed, problems):
         )
         return
     sq = SqliteOracle(case)
-    db.durability.injector = CrashInjector.from_seed(
-        injector_seed, sites=CRASH_FUZZ_SITES
-    )
+    db.durability.injector = CrashInjector.from_seed(injector_seed)
     index = 0
     statements = list(case.statements)
     while index < len(statements):

@@ -117,8 +117,8 @@ def check_replay(db, outcome):
     kernel's memoized outcome when the kernel admitted the trace, and
     through the batched loop.  Each replay that differs from
     ``outcome.timing`` is reported at its first differing field, leaving
-    aside ``spans`` and ``degradation_events``.  Leaves the machine in
-    the batched replay's end state.
+    aside ``spans``.  Leaves the machine in the batched replay's end
+    state.
     """
     timing, trace = outcome.timing, outcome.trace
     if timing is None or trace is None:

@@ -5,7 +5,7 @@ One :class:`~repro.fuzz.grammar.FuzzCase` is loaded into
 * a full simulated stack per :class:`SystemConfig` — every memory
   system (DRAM, GS-DRAM, row-only RRAM, RC-NVM), both intra-chunk
   layouts, with and without group caching ("Z-order" ordered reads,
-  Figures 14-15) and ECC;
+  Figures 14-15);
 * the functional :class:`~repro.imdb.reference.ReferenceEngine`
   (consulted *before* executors run, so UPDATE counts see pre-mutation
   state);
@@ -40,11 +40,10 @@ class SystemConfig:
     system: str  # build_system name: DRAM | GS-DRAM | RRAM | RC-NVM
     layout: str  # intra-chunk layout for every table: row | column
     group_lines: int = 0  # >0 enables Z-order group-cached ordered reads
-    ecc: bool = False
 
 
 #: The differential lattice. ``dram-row`` is listed first on purpose:
-#: it hosts the reference engine (plain system, no ECC demand checks).
+#: it hosts the reference engine (the plain system).
 CONFIGS = {
     c.key: c
     for c in (
@@ -55,7 +54,6 @@ CONFIGS = {
         SystemConfig("rcnvm-row", "RC-NVM", "row"),
         SystemConfig("rcnvm-col", "RC-NVM", "column"),
         SystemConfig("rcnvm-col-z", "RC-NVM", "column", group_lines=2),
-        SystemConfig("rcnvm-row-ecc", "RC-NVM", "row", ecc=True),
     )
 }
 
@@ -80,8 +78,6 @@ def build_database(config: SystemConfig, case) -> Database:
             db.create_index(spec.name, field)
         for field in spec.ordered_indexes:
             db.create_ordered_index(spec.name, field)
-    if config.ecc:
-        db.enable_reliability()
     return db
 
 

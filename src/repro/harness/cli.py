@@ -23,7 +23,7 @@ import sys
 import time
 from typing import Callable, Mapping, Optional
 
-from repro.harness import figures, profiling, recover, reliability, serve, wear
+from repro.harness import figures, profiling, recover, serve, wear
 from repro.harness.systems import SMALL_CACHE_CONFIG
 
 
@@ -34,7 +34,7 @@ class Experiment:
     ``run(p)`` gets a namespace holding every key of ``params`` and
     returns ``(result, table)``: a JSON-ready result and its rendered
     text.  ``params`` maps each parameter to its default; one named like
-    a flag (``fault_rate`` for ``--fault-rate``) is set by that flag, any
+    a flag (``queue_depth`` for ``--queue-depth``) is set by that flag, any
     other is fixed.  Under ``--smoke``, ``smoke`` overrides ``params``
     and ``check(result)`` returns the gate's problems, one string each;
     none means pass.
@@ -123,21 +123,9 @@ def _energy_figure(p):
     )
 
 
-def _run_faults(p):
-    """Reliability pipeline (extension): inject, scrub, recover, re-verify."""
-    outcomes = reliability.run_faults(
-        fault_rate=p.fault_rate, mode=p.fault_mode,
-        double_fraction=p.double_fraction, seed=p.seed, **_sim(p),
-    )
-    return [vars(o) for o in outcomes], figures.faults_figure(outcomes).render()
-
-
-#: What the paper's figures and the multicore, energy and faults
-#: extensions read.
+#: What the paper's figures and the multicore and energy extensions read.
 _FIGURE_PARAMS = dict(
-    scale=1.0, small=False, verify=False,
-    seed=7, fault_rate=0.0005, fault_mode="uniform", double_fraction=0.25,
-    **dict.fromkeys(SCHED_FLAGS),
+    scale=1.0, small=False, verify=False, **dict.fromkeys(SCHED_FLAGS),
 )
 
 
@@ -167,10 +155,6 @@ _ALL = {
     "fig23": _figure(lambda p: figures.figure23(**_sim(p))),
     "multicore": _figure(_multicore_figure),
     "energy": _figure(_energy_figure),
-    "faults": Experiment(
-        _run_faults, _FIGURE_PARAMS, smoke=dict(small=True, scale=0.02),
-        check=reliability.check,
-    ),
 }
 
 EXPERIMENTS = {
@@ -224,9 +208,9 @@ def _parser():
                              "fuzzer, which takes its own flags")
     parser.add_argument("--list", action="store_true", help="list experiments")
     parser.add_argument("--smoke", action="store_true",
-                        help="fixed fast run of a gated experiment (faults, "
-                             "profile, recover, serve, wear); exit 1 "
-                             "unless its gate passes")
+                        help="fixed fast run of a gated experiment (profile, "
+                             "recover, serve, wear); exit 1 unless its gate "
+                             "passes")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the results as JSON, keyed by experiment")
     parser.add_argument("--scale", type=float,
@@ -237,20 +221,9 @@ def _parser():
     parser.add_argument("--verify", action="store_true",
                         help="cross-check every query result against the "
                              "reference engine")
-    parser.add_argument("--seed", type=int,
-                        help="faults campaign seed (default 7); serve "
-                             "arrival seed (default 0)")
-    faults = parser.add_argument_group("faults")
-    faults.add_argument("--fault-rate", type=float,
-                        help="faults per occupied cell (default 5e-4)")
-    faults.add_argument("--fault-mode", choices=("uniform", "hotline", "burst"),
-                        help="fault targeting mode (default uniform)")
-    faults.add_argument("--double-fraction", type=float,
-                        help="fraction of faults that are double-bit "
-                             "(uncorrectable; default 0.25)")
     sched = parser.add_argument_group(
         "memory scheduler", "controller knobs for the paper's figures and "
-        "the multicore, energy and faults experiments"
+        "the multicore and energy experiments"
     )
     sched.add_argument("--policy", choices=("frfcfs", "fcfs"),
                        help="scheduling policy (default frfcfs)")
@@ -288,6 +261,8 @@ def _parser():
     profile.add_argument("--chrome-out", metavar="PATH",
                          help="also write a Chrome trace (about:tracing)")
     scenario = parser.add_argument_group("serve, wear")
+    scenario.add_argument("--seed", type=int,
+                          help="serve: arrival seed (default 0)")
     scenario.add_argument("--tenants", type=int,
                           help="serve: tenant sessions (default 4)")
     scenario.add_argument("--arrival", choices=("open", "closed", "mixed"),

@@ -15,7 +15,7 @@ from repro.harness.experiment import (
     run_sensitivity,
     run_sql_suite,
 )
-from repro.harness.report import format_table, geometric_mean, percentage
+from repro.harness.report import format_table, geometric_mean
 from repro.harness.systems import table1_rows
 from repro.workloads.microbench import KERNELS, MICRO_SYSTEMS, run_microbench
 from repro.workloads.queries import QUERIES, SQL_BENCHMARK_IDS
@@ -214,44 +214,6 @@ def run_figures_18_21(
         "Figure 20": figure20(measurements, systems),
         "Figure 21": figure21(measurements),
     }, measurements
-
-
-# -- reliability (extension) -----------------------------------------------------------
-
-def faults_figure(outcomes):
-    """The ``faults`` experiment's table (see repro.harness.reliability)."""
-    rows = [
-        (
-            o.system,
-            o.injected,
-            o.corrected,
-            o.detected,
-            o.recovered,
-            o.scrub_reads,
-            o.scrub_cycles,
-            o.retired_cells,
-            o.wear_imbalance,
-            f"{o.resweep_corrected}/{o.resweep_detected}",
-        )
-        for o in outcomes
-    ]
-    total_injected = sum(o.injected for o in outcomes)
-    total_corrected = sum(o.corrected for o in outcomes)
-    return FigureResult(
-        name="Faults",
-        title="Fault injection, scrub, and recovery (extension)",
-        headers=(
-            "system", "injected", "corrected", "detected", "recovered",
-            "scrub reads", "scrub cycles", "retired cells",
-            "wear imbalance", "resweep c/d",
-        ),
-        rows=rows,
-        notes=(
-            f"{percentage(total_corrected, total_injected)} of injected "
-            "faults were single-bit (corrected in place); every detected "
-            "double-bit cell was recovered by chunk remap"
-        ),
-    )
 
 
 # -- sensitivity and group caching ----------------------------------------------------

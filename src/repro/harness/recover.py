@@ -1,14 +1,11 @@
 """``recover`` subcommand: crash-site sweep on a durable scripted workload.
 
 For every named crash site the experiment builds a fresh durable
-RC-NVM stack (WAL + ECC + scrubber), commits part of a scripted update
+RC-NVM stack (WAL plus a hash index), commits part of a scripted update
 workload, arms a :class:`~repro.durability.crash.CrashInjector` on the
 site, kills execution there, recovers from the surviving cells + WAL,
 and checks the recovered table state against a plain-Python oracle of
-the committed prefix.  The scrub and remap sites are reached by
-injecting an uncorrectable (double-bit) cell fault first, so the sweep
-also demonstrates that crash recovery composes with the reliability
-pipeline's chunk remapping.
+the committed prefix.
 
 A final no-crash pass over the same workload reports WAL
 write-amplification (WAL cells written per logical data word), the
@@ -24,15 +21,15 @@ from repro.imdb.database import Database
 
 N_ROWS = 48
 
-#: (label, sql, oracle updater) — the committed prefix every crash site
-#: must preserve.
+#: The committed prefix every crash site must preserve, the statement
+#: each site crashes in, and the one the recovered database then runs.
 COMMITTED_SQL = "UPDATE kv SET v = 1111 WHERE id < 8"
 CRASH_SQL = "UPDATE kv SET v = 2222 WHERE id >= 40"
 RESUME_SQL = "UPDATE kv SET v = 3333 WHERE id = 20"
 
 
 def _build(wal_rows=None):
-    """A durable, ECC-protected stack loaded with the kv table."""
+    """A durable stack loaded with the indexed kv table."""
     db = Database(
         build_system("RC-NVM", small=True),
         cache_config=SMALL_CACHE_CONFIG,
@@ -42,7 +39,6 @@ def _build(wal_rows=None):
     db.create_table("kv", [("id", 8), ("v", 8)], layout="row")
     db.insert_many("kv", [(i, i * 10) for i in range(N_ROWS)])
     db.create_index("kv", "id")
-    db.enable_reliability()
     return db
 
 
@@ -54,14 +50,6 @@ def _state_of(db):
     }
 
 
-def _inject_uncorrectable(db):
-    """Flip two codeword bits of one table cell (double-bit fault)."""
-    chunk = db.tables["kv"].chunks[0]
-    p = chunk.placement
-    db.ecc.inject_fault(p.bin_index, p.y, p.x, 3)
-    db.ecc.inject_fault(p.bin_index, p.y, p.x, 17)
-
-
 def _crash_one_site(site, wal_rows=None):
     """Run the scripted workload, crash at ``site``, recover, verify.
 
@@ -71,22 +59,9 @@ def _crash_one_site(site, wal_rows=None):
     expected = {i: 1111 if i < 8 else i * 10 for i in range(N_ROWS)}
 
     db.durability.injector = CrashInjector(site)
-    crashed_in = None
     try:
-        if site == "mid-scrub":
-            # An uncorrectable fault plus a background sweep that dies
-            # between subarrays: the composition the suite must survive.
-            _inject_uncorrectable(db)
-            crashed_in = "scrub sweep"
-            db.scrubber.sweep()
-        elif site == "during-remap":
-            _inject_uncorrectable(db)
-            crashed_in = "SELECT (demand remap)"
-            db.execute("SELECT id, v FROM kv")
-        else:
-            crashed_in = CRASH_SQL
-            db.execute(CRASH_SQL)
-        return {"site": site, "crashed_in": crashed_in, "fired": False}
+        db.execute(CRASH_SQL)
+        return {"site": site, "crashed_in": CRASH_SQL, "fired": False}
     except SimulatedCrash:
         pass
 
@@ -101,7 +76,7 @@ def _crash_one_site(site, wal_rows=None):
 
     return {
         "site": site,
-        "crashed_in": crashed_in,
+        "crashed_in": CRASH_SQL,
         "fired": True,
         "scanned": report.records_scanned,
         "replayed": report.records_replayed,

@@ -53,13 +53,6 @@ def speedup(baseline, value):
     return baseline / value
 
 
-def percentage(part, whole):
-    """``part`` as a percentage string of ``whole`` (guarding zero)."""
-    if not whole:
-        return "0.0%"
-    return f"{100.0 * part / whole:.1f}%"
-
-
 def _span_label(span, attr_width=48):
     """One line describing a span dict: name, wall time, metrics, attrs."""
     parts = [span["name"]]

@@ -25,11 +25,6 @@ class SubarrayAllocator:
         )
         self._bin_to_subarray = []
         self._claim_order = self._striped_order(geometry)
-        #: Damaged placements retired by uncorrectable-error recovery.
-        #: The online packer never frees placed area, so a retired
-        #: rectangle is already unreachable; recording it keeps the loss
-        #: visible in :meth:`utilization` and diagnostics.
-        self.retired = []
 
     @staticmethod
     def _striped_order(geometry):
@@ -63,19 +58,6 @@ class SubarrayAllocator:
             width=placement.width,
             height=placement.height,
         )
-
-    def retire(self, placement: Placement):
-        """Take a damaged placement out of service.
-
-        The shelf packer never reuses placed area, so the rectangle is
-        already unreachable to future :meth:`place` calls; recording it
-        keeps the loss visible."""
-        self.retired.append(placement)
-
-    @property
-    def retired_cells(self):
-        """Total cells lost to retired (damaged) rectangles."""
-        return sum(p.width * p.height for p in self.retired)
 
     @property
     def subarrays_used(self):

@@ -94,13 +94,8 @@ class Database:
         self.reference = ReferenceEngine(self)
         self.hierarchy: CacheHierarchy = None
         self.machine: Machine = None
-        #: Reliability pipeline (None until :meth:`enable_reliability`).
-        self.ecc = None
-        self.scrubber = None
         #: Durability manager (None until :meth:`enable_durability`).
         self.durability = None
-        #: Every chunk remap forced by an uncorrectable error, in order.
-        self.degradation_events = []
         if template_cache:
             self.enable_template_cache()
         self.reset_timing()
@@ -151,126 +146,7 @@ class Database:
             )
         self.durability = DurabilityManager(self, wal_rows=wal_rows)
         self.durability.injector = injector
-        if self.scrubber is not None:
-            self.scrubber.crash_hook = (
-                lambda: self.durability.crash_point("mid-scrub")
-            )
         return self.durability
-
-    # -- reliability --------------------------------------------------------------
-    def enable_reliability(self, scrub_cycle_budget=None):
-        """Protect every table with SECDED ECC and attach a scrubber.
-
-        Existing tables get per-chunk backups (functional reference
-        copies); tables created later are protected automatically.
-        Returns the :class:`~repro.reliability.scrub.ScrubScheduler`.
-        """
-        from repro.memsim.ecc import EccStore
-        from repro.reliability.scrub import ScrubScheduler
-
-        if self.ecc is None:
-            self.ecc = EccStore(self.physmem)
-            self.scrubber = ScrubScheduler(
-                self.ecc, self.memory, cycle_budget=scrub_cycle_budget
-            )
-            if self.durability is not None:
-                self.scrubber.crash_hook = (
-                    lambda: self.durability.crash_point("mid-scrub")
-                )
-        elif scrub_cycle_budget is not None:
-            self.scrubber.cycle_budget = scrub_cycle_budget
-        for table in self.tables.values():
-            if table.ecc is None:
-                table.enable_reliability(self.ecc, recovery=self._recover_chunk)
-        return self.scrubber
-
-    def _recover_chunk(self, table, chunk, cell):
-        """Remap one chunk off a damaged rectangle and record the event.
-
-        This is the single recovery path: tables call it on uncorrectable
-        demand reads, and :meth:`recover_cell` / :meth:`checked_run` route
-        through it too."""
-        from repro.reliability.recovery import DegradationEvent
-
-        crash_point = None
-        if self.durability is not None:
-            crash_point = lambda: self.durability.crash_point("during-remap")
-        old, new = table.remap_chunk(chunk, crash_point=crash_point)
-        event = DegradationEvent(
-            table=table.name,
-            cell=cell,
-            old_placement=old,
-            new_placement=new,
-        )
-        self.degradation_events.append(event)
-        return event
-
-    def _owner_of(self, subarray, row, col):
-        """(table, chunk) whose placement covers one device cell."""
-        for table in self.tables.values():
-            for chunk in table.chunks:
-                p = chunk.placement
-                if (
-                    p.bin_index == subarray
-                    and p.y <= row < p.y + p.height
-                    and p.x <= col < p.x + p.width
-                ):
-                    return table, chunk
-        return None, None
-
-    def recover_cell(self, subarray, row, col):
-        """Remap the chunk owning an uncorrectable cell to fresh space.
-
-        Returns the :class:`~repro.reliability.recovery.DegradationEvent`,
-        or None when no chunk owns the cell (e.g. an index projection or
-        already-retired space — nothing to rebuild)."""
-        table, chunk = self._owner_of(subarray, row, col)
-        if chunk is None:
-            return None
-        return self._recover_chunk(table, chunk, (subarray, row, col))
-
-    def checked_run(self, run):
-        """Verify one device run through ECC before the executor reads it.
-
-        Single-bit faults are corrected in place.  On an uncorrectable
-        (double-bit) error the database first scrubs the subarray and
-        re-checks (scrub-then-reread), then remaps the victim chunk to a
-        fresh rectangle rebuilt from its backup.  Returns the run to
-        actually read — translated when recovery moved the chunk."""
-        from repro.memsim.ecc import UncorrectableError
-        from repro.reliability.recovery import translate_run
-
-        detected = self.ecc.verify_run(
-            run.subarray, run.vertical, run.fixed, run.start, run.count
-        )
-        if not detected:
-            return run
-        # Scrub-then-reread: a latent single-bit fault elsewhere in the
-        # cell may have combined with a transient; sweep and re-verify.
-        self.scrubber.sweep_subarray(run.subarray)
-        detected = self.ecc.verify_run(
-            run.subarray, run.vertical, run.fixed, run.start, run.count
-        )
-        if not detected:
-            return run
-        row, col = detected[0]
-        table, chunk = self._owner_of(run.subarray, row, col)
-        if chunk is None:
-            raise UncorrectableError(
-                f"uncorrectable error at subarray {run.subarray} "
-                f"({row}, {col}) outside any chunk"
-            )
-        event = self._recover_chunk(table, chunk, (run.subarray, row, col))
-        run = translate_run(run, event.old_placement, event.new_placement)
-        detected = self.ecc.verify_run(
-            run.subarray, run.vertical, run.fixed, run.start, run.count
-        )
-        if detected:
-            raise UncorrectableError(
-                f"uncorrectable error persisted after chunk remap at "
-                f"subarray {run.subarray} {detected[0]}"
-            )
-        return run
 
     # -- schema ------------------------------------------------------------------
     def create_table(self, name, fields, layout="row") -> Table:
@@ -283,8 +159,6 @@ class Database:
         self.tables[name] = table
         if self.durability is not None:
             self.durability.log_create_table(table)
-        if self.ecc is not None:
-            table.enable_reliability(self.ecc, recovery=self._recover_chunk)
         return table
 
     def drop_table(self, name):
@@ -426,9 +300,6 @@ class Database:
                     cache.stats.durability_bypasses += 1
                 else:
                     cache.stats.verify_bypasses += 1
-            # Snapshot before the reference pass: its functional reads run the
-            # same ECC demand checks, so recovery can fire there too.
-            events_before = len(self.degradation_events)
             if use_cache and cached is None:
                 cached = cache.fetch(template_key, plan)
                 if cached is not None and memo_key is not None:
@@ -455,7 +326,6 @@ class Database:
                     with obs.span("timing.reset"):
                         self.reset_timing()
                 timing = self.machine.run(trace, stream=stream)
-                timing.degradation_events = self.degradation_events[events_before:]
             if qsp.enabled:
                 qsp.set(trace_length=len(trace))
                 if timing is not None:

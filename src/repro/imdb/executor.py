@@ -120,12 +120,7 @@ class Executor:
         return address, size, orientation
 
     def _read_run_values(self, run):
-        database = self.database
-        if database.ecc is not None:
-            # ECC-verify the run first; on uncorrectable errors the
-            # database remaps the chunk and hands back a translated run.
-            run = database.checked_run(run)
-        physmem = database.physmem
+        physmem = self.database.physmem
         if run.vertical:
             return physmem.read_vertical(run.subarray, run.fixed, run.start, run.count)
         return physmem.read_horizontal(run.subarray, run.fixed, run.start, run.count)

@@ -41,14 +41,6 @@ class PhysicalMemory:
     def materialized_subarrays(self):
         return len(self._subarrays)
 
-    def is_materialized(self, index) -> bool:
-        return index in self._subarrays
-
-    def materialized_indexes(self):
-        """Sorted ids of every subarray that has ever been written —
-        the only ones a scrub sweep needs to visit."""
-        return sorted(self._subarrays)
-
     def subarray_coord(self, index):
         """Invert :meth:`AddressMapper.subarray_index`."""
         g = self.geometry

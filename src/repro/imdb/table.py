@@ -28,21 +28,13 @@ class Table:
         self.allocator = allocator
         self.chunks = []
         self.n_tuples = 0
-        #: Optional :class:`~repro.memsim.ecc.EccStore`; when set, every
-        #: chunk keeps a packed backup (its functional reference copy) and
-        #: all writes keep the ECC check bits fresh.
-        self.ecc = None
-        #: Callback ``(table, chunk, cell)`` invoked when a demand read
-        #: hits an uncorrectable cell; the database installs its chunk
-        #: remap here.  Without one, uncorrectable reads raise.
-        self.recovery = None
         #: Equality indexes by field name (repro.imdb.index.HashIndex).
         self.indexes = {}
         #: Range indexes by field name (repro.imdb.ordered_index.OrderedIndex).
         self.ordered_indexes = {}
         #: Bumped whenever chunk geometry changes (inserts appending
-        #: chunks, remaps moving them) — cached traces address the old
-        #: cells, so any bump invalidates them.
+        #: chunks) — cached traces address the old cells, so any bump
+        #: invalidates them.
         self.geometry_epoch = 0
         #: Bumped by functional writes that actually change a cell value
         #: (an idempotent re-write of the same constant does not count).
@@ -91,8 +83,6 @@ class Table:
                 height=height,
             )
             chunk.placement = self.allocator.place(width, height)
-            if self.ecc is not None:
-                chunk.backup = packed[first : first + count].copy()
             self._write_chunk(chunk, packed[first : first + count])
             self.chunks.append(chunk)
         self.n_tuples += len(packed)
@@ -121,26 +111,6 @@ class Table:
             grid[p.y : p.y + chunk.width, p.x : p.x + chunk.height] = local.T
         else:
             grid[p.y : p.y + chunk.height, p.x : p.x + chunk.width] = local
-        if self.ecc is not None:
-            self.ecc.refresh_region(
-                p.bin_index, p.y, p.y + p.height, p.x, p.x + p.width
-            )
-
-    # -- reliability --------------------------------------------------------------
-    def enable_reliability(self, ecc, recovery=None):
-        """Protect this table with ``ecc`` and snapshot chunk backups.
-
-        The backup is the chunk's packed tuple data — the functional
-        reference copy an uncorrectable-error recovery rebuilds from."""
-        self.ecc = ecc
-        self.recovery = recovery
-        for chunk in self.chunks:
-            if getattr(chunk, "backup", None) is None:
-                chunk.backup = self.chunk_packed(chunk)
-            p = chunk.placement
-            ecc.refresh_region(
-                p.bin_index, p.y, p.y + p.height, p.x, p.x + p.width
-            )
 
     def chunk_packed(self, chunk) -> np.ndarray:
         """The chunk's tuples as packed (n_tuples, tuple_words) data —
@@ -172,39 +142,6 @@ class Table:
             )
         return np.ascontiguousarray(packed, dtype=np.int64)
 
-    def remap_chunk(self, chunk, crash_point=None):
-        """Move a chunk onto a fresh placement, rebuilding its cells.
-
-        Uncorrectable-error recovery calls this: the old rectangle is
-        *retired* (damaged cells leave play forever) and the chunk's
-        packed backup is written into a new one.
-
-        ``crash_point`` (if given) is called after the new rectangle is
-        claimed but before its cells are rewritten — the widest window a
-        power loss could tear the move open.  Returns
-        ``(old_placement, new_placement)``."""
-        backup = getattr(chunk, "backup", None)
-        if backup is None:
-            backup = self.chunk_packed(chunk)
-            chunk.backup = backup
-        old = chunk.placement
-        # Claim the new rectangle before retiring the old one: if memory
-        # cannot place it, the chunk must stay where it is.
-        fresh = self.allocator.place(chunk.width, chunk.height)
-        self.allocator.retire(old)
-        chunk.placement = fresh
-        self.geometry_epoch += 1
-        if crash_point is not None:
-            crash_point()
-        self._write_chunk(chunk, backup)
-        if self.ecc is not None:
-            # Decommission the damaged rectangle: recompute its check bits
-            # so later scrub sweeps don't keep re-detecting retired cells.
-            self.ecc.refresh_region(
-                old.bin_index, old.y, old.y + old.height, old.x, old.x + old.width
-            )
-        return old, chunk.placement
-
     # -- chunk navigation ---------------------------------------------------------
     def chunk_of(self, index):
         """(chunk, local_index) holding global tuple ``index``."""
@@ -233,32 +170,6 @@ class Table:
         chunk, local = self.chunk_of(index)
         return chunk.tuple_cells(local, word_start, word_count)
 
-    def _check_chunk(self, chunk):
-        """Demand-read ECC check over one chunk's rectangle.
-
-        Every functional read funnels through here when ECC is on:
-        single-bit faults are repaired in place, and an uncorrectable
-        cell hands the chunk to the recovery callback — one remap
-        rebuilds the whole rectangle from the backup, healing every
-        detected cell at once."""
-        if self.ecc is None:
-            return
-        p = chunk.placement
-        detected = self.ecc.verify_region(
-            p.bin_index, p.y, p.y + p.height, p.x, p.x + p.width
-        )
-        if not detected:
-            return
-        if self.recovery is None:
-            from repro.memsim.ecc import UncorrectableError
-
-            raise UncorrectableError(
-                f"uncorrectable error in table {self.name!r} at subarray "
-                f"{p.bin_index} cell {detected[0]} with no recovery handler"
-            )
-        row, col = detected[0]
-        self.recovery(self, chunk, (p.bin_index, row, col))
-
     # -- functional access (reference results, loading checks) --------------------
     def _chunk_region(self, chunk):
         """Chunk-local (height, width) view of the placed cells."""
@@ -274,7 +185,6 @@ class Table:
         chunk_tw = self.schema.tuple_words
         parts = []
         for chunk in self.chunks:
-            self._check_chunk(chunk)
             region = self._chunk_region(chunk)
             matrix = region[:, offset::chunk_tw]
             if chunk.layout is IntraLayout.ROW:
@@ -289,7 +199,6 @@ class Table:
     def read_tuple(self, index):
         """One logical tuple's field values (functional read)."""
         chunk, local = self.chunk_of(index)
-        self._check_chunk(chunk)
         words = []
         for word in range(self.schema.tuple_words):
             row, col = chunk.local_cell(local, word)
@@ -305,13 +214,7 @@ class Table:
         sub, device_row, device_col = chunk.device_cell(row, col)
         if self.physmem.read_cell(sub, device_row, device_col) != int(value):
             self.content_version += 1
-        if self.ecc is not None:
-            self.ecc.write(sub, device_row, device_col, int(value))
-            backup = getattr(chunk, "backup", None)
-            if backup is not None:
-                backup[local, offset] = int(value)
-        else:
-            self.physmem.write_cell(sub, device_row, device_col, int(value))
+        self.physmem.write_cell(sub, device_row, device_col, int(value))
 
     @property
     def tuple_words(self):

@@ -21,7 +21,7 @@ from repro.memsim.timing import (
     LPDDR3_800_RCNVM,
     LPDDR3_800_RRAM,
 )
-from repro.memsim import ecc, energy
+from repro.memsim import energy
 from repro.memsim.endurance import WearLine, WearTracker, attach_wear_tracker
 from repro.memsim.request import MemRequest
 from repro.memsim.bank import Bank
@@ -42,7 +42,6 @@ __all__ = [
     "WearLine",
     "WearTracker",
     "attach_wear_tracker",
-    "ecc",
     "energy",
     "CACHE_LINE_BYTES",
     "CPU_FREQ_HZ",

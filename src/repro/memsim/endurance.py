@@ -78,9 +78,9 @@ def subarray_index_of(line: WearLine, geometry):
     """Flat subarray id of a wear line's subarray.
 
     Must stay the inverse of
-    :meth:`repro.imdb.physmem.PhysicalMemory.subarray_coord` — the fault
-    injector uses it to aim at hot lines, so a divergence would silently
-    wear-weight the wrong physical cells (pinned by tests)."""
+    :meth:`repro.imdb.physmem.PhysicalMemory.subarray_coord`, so a wear
+    line names the same physical subarray the functional store writes
+    (pinned by tests)."""
     return (
         (line.channel * geometry.ranks + line.rank) * geometry.banks
         + line.bank

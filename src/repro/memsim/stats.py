@@ -157,13 +157,6 @@ class MemoryStats:
     #: so another stream's ready hit was served instead of forcing a
     #: buffer conflict (no credit charged).
     opportunistic_stream_hits: int = 0
-    # -- reliability accounting ----------------------------------------------
-    #: Row-granularity reads issued by the scrub scheduler (not part of
-    #: ``reads``: scrubbing is background traffic, but its cost must show
-    #: up in the same accounting the figures use).
-    scrub_reads: int = 0
-    #: CPU cycles spent scrubbing (activation + CAS + burst per swept row).
-    scrub_cycles: int = 0
     # -- durability accounting -------------------------------------------------
     #: Write-ahead log records appended (schema ops, tuple writes, and
     #: commit markers alike).
@@ -216,8 +209,6 @@ class MemoryStats:
         "cross_stream_bypasses": "counter",
         "stream_rotations": "counter",
         "opportunistic_stream_hits": "counter",
-        "scrub_reads": "counter",
-        "scrub_cycles": "counter",
         "wal_records": "counter",
         "wal_cells": "counter",
         "persist_barriers": "counter",
@@ -342,15 +333,16 @@ class MemoryStats:
         data["latency_p99"] = self.latency_p99
         data["read_latency_p50"] = self.read_latency_p50
         data["read_latency_p99"] = self.read_latency_p99
-        # Keys of the deleted hybrid DRAM tier, kept with their untiered
-        # values because every committed benchmark golden digests the
-        # whole snapshot.  A benchmark change that re-records the goldens
-        # removes them.
+        # Keys of the deleted hybrid DRAM tier and scrub scheduler, kept
+        # with their untiered, unscrubbed values because every committed
+        # benchmark golden digests the whole snapshot.  A benchmark change
+        # that re-records the goldens removes them.
         data["tier_nvm_accesses"] = data["accesses"]
         data["tier_nvm_hits"] = self.buffer_hits
         for name in ("tier_dram_accesses", "tier_dram_hits",
                      "chunks_promoted", "chunks_demoted",
-                     "migration_cells", "migration_cycles"):
+                     "migration_cells", "migration_cycles",
+                     "scrub_reads", "scrub_cycles"):
             data[name] = 0
         return data
 

@@ -119,14 +119,6 @@ class MemorySystem:
         for ctrl in self.controllers:
             ctrl.reset()
 
-    def charge_scrub(self, channel, reads, cycles):
-        """Account background scrub traffic against one channel's stats,
-        so reliability costs appear in the same cycle accounting the
-        figures use (see :mod:`repro.reliability.scrub`)."""
-        stats = self.controllers[channel].stats
-        stats.scrub_reads += reads
-        stats.scrub_cycles += cycles
-
     def charge_wal(self, channel, records, cells):
         """Account write-ahead-log appends against one channel's stats.
 

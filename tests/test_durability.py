@@ -2,7 +2,7 @@
 kill-and-recover determinism, and the persistence barrier.
 
 The crash matrix is the heart of this file: every named crash site,
-under every (layout, ECC, group-caching) combination, must recover to
+under every (layout, group-caching) combination, must recover to
 the oracle-identical committed state — twice, from the same seed, with
 identical recovery reports (the determinism the fuzz harness's replay
 files rely on).
@@ -38,7 +38,6 @@ from repro.cache.line import line_key
 from repro.core.addressing import Orientation
 from repro.cpu.machine import post_writeback
 from repro.imdb.binpack import Placement
-from repro.imdb.chunks import Run
 from repro.imdb.database import Database
 from repro.imdb.physmem import PhysicalMemory
 from repro.imdb.planner import ScanMethod
@@ -47,7 +46,6 @@ from repro.memsim import attach_wear_tracker
 from repro.workloads.datagen import generate_packed, populate
 from repro.workloads.suite import default_layout
 from repro.workloads.tables import ALL_TABLES, TABLE_A, TABLE_B
-from repro.reliability import translate_run
 
 
 # -- fixtures ------------------------------------------------------------------
@@ -60,8 +58,7 @@ def _region(rows=64):
     return WalRegion(physmem, placement)
 
 
-def _durable_db(layout="row", ecc=False, group_lines=0, wal_rows=None,
-                n_rows=32):
+def _durable_db(layout="row", group_lines=0, wal_rows=None, n_rows=32):
     db = Database(
         build_system("RC-NVM", small=True),
         cache_config=SMALL_CACHE_CONFIG,
@@ -71,8 +68,6 @@ def _durable_db(layout="row", ecc=False, group_lines=0, wal_rows=None,
     db.enable_durability(wal_rows=wal_rows)
     db.create_table("t", [("id", 8), ("v", 8)], layout=layout)
     db.insert_many("t", [(i, i * 3) for i in range(n_rows)])
-    if ecc:
-        db.enable_reliability()
     return db
 
 
@@ -231,8 +226,9 @@ def test_replay_filter_stops_at_last_committed_group(n_groups, cut):
 
 # -- crash injector ------------------------------------------------------------
 def test_injector_validates_site_and_occurrence():
-    with pytest.raises(ValueError):
-        CrashInjector("no-such-site")
+    for site in ("no-such-site", "mid-scrub", "during-remap"):
+        with pytest.raises(ValueError):
+            CrashInjector(site)
     with pytest.raises(ValueError):
         CrashInjector("pre-flush", occurrence=0)
 
@@ -308,36 +304,20 @@ def test_wal_writes_are_traced():
 
 # -- the crash matrix ----------------------------------------------------------
 _MATRIX = [
-    (site, layout, ecc, group_lines)
+    (site, layout, group_lines)
     for site in CRASH_SITES
     for layout in ("row", "column")
-    for ecc in (False, True)
     for group_lines in (0, 2)
-    # The scrub/remap sites only exist with ECC attached.
-    if ecc or site not in ("mid-scrub", "during-remap")
 ]
 
 
-def _crash_and_recover(site, layout, ecc, group_lines):
+def _crash_and_recover(site, layout, group_lines):
     """One deterministic kill-and-recover pass; returns (state, report)."""
-    db = _durable_db(layout=layout, ecc=ecc, group_lines=group_lines)
+    db = _durable_db(layout=layout, group_lines=group_lines)
     db.execute("UPDATE t SET v = 5555 WHERE id < 6")  # committed
     db.durability.injector = CrashInjector(site)
     with pytest.raises(SimulatedCrash):
-        if site == "mid-scrub":
-            chunk = db.tables["t"].chunks[0]
-            p = chunk.placement
-            db.ecc.inject_fault(p.bin_index, p.y, p.x, 3)
-            db.ecc.inject_fault(p.bin_index, p.y, p.x, 17)
-            db.scrubber.sweep()
-        elif site == "during-remap":
-            chunk = db.tables["t"].chunks[0]
-            p = chunk.placement
-            db.ecc.inject_fault(p.bin_index, p.y, p.x, 3)
-            db.ecc.inject_fault(p.bin_index, p.y, p.x, 17)
-            db.execute("SELECT id, v FROM t")
-        else:
-            db.execute("UPDATE t SET v = 7777 WHERE id >= 28")
+        db.execute("UPDATE t SET v = 7777 WHERE id >= 28")
     rdb, report = recover(db)
     return _state(rdb), (
         report.records_scanned, report.records_replayed,
@@ -346,15 +326,15 @@ def _crash_and_recover(site, layout, ecc, group_lines):
 
 
 @pytest.mark.parametrize(
-    "site,layout,ecc,group_lines", _MATRIX,
-    ids=[f"{s}-{l}-ecc{int(e)}-g{g}" for s, l, e, g in _MATRIX],
+    "site,layout,group_lines", _MATRIX,
+    ids=[f"{s}-{l}-g{g}" for s, l, g in _MATRIX],
 )
-def test_crash_matrix_recovers_committed_state(site, layout, ecc, group_lines):
+def test_crash_matrix_recovers_committed_state(site, layout, group_lines):
     expected = {i: (5555 if i < 6 else i * 3) for i in range(32)}
-    state, report = _crash_and_recover(site, layout, ecc, group_lines)
+    state, report = _crash_and_recover(site, layout, group_lines)
     assert state == expected
     # Determinism: the same seed/site replays to the identical outcome.
-    state2, report2 = _crash_and_recover(site, layout, ecc, group_lines)
+    state2, report2 = _crash_and_recover(site, layout, group_lines)
     assert state2 == state
     assert report2 == report
 
@@ -514,59 +494,3 @@ def test_flush_caches_on_line_can_abort():
 
     with pytest.raises(Boom):
         db.machine.flush_caches(on_line=abort)
-
-
-# -- satellite: translate_run robustness ---------------------------------------
-def _placement(bin_index=0, x=4, y=8, rotated=False, width=16, height=8):
-    return Placement(bin_index=bin_index, x=x, y=y, rotated=rotated,
-                     width=width, height=height)
-
-
-def test_translate_run_empty_run():
-    old, new = _placement(), _placement(bin_index=1, x=0, y=0)
-    run = Run(subarray=0, vertical=False, fixed=8, start=4, count=0,
-              first_tuple=0, tuple_stride=1)
-    moved = translate_run(run, old, new)
-    assert moved.count == 0
-    assert moved.subarray == 1
-
-
-def test_translate_run_negative_count_raises():
-    old, new = _placement(), _placement(bin_index=1)
-    run = Run(subarray=0, vertical=False, fixed=8, start=4, count=-1,
-              first_tuple=0, tuple_stride=1)
-    with pytest.raises(LayoutError):
-        translate_run(run, old, new)
-
-
-def test_translate_run_wrong_subarray_raises():
-    old, new = _placement(bin_index=0), _placement(bin_index=1)
-    run = Run(subarray=3, vertical=False, fixed=8, start=4, count=4,
-              first_tuple=0, tuple_stride=1)
-    with pytest.raises(LayoutError):
-        translate_run(run, old, new)
-
-
-def test_translate_run_outside_rect_raises():
-    old, new = _placement(), _placement(bin_index=1)
-    # Horizontal run overrunning the right edge of the 16-wide rect.
-    run = Run(subarray=0, vertical=False, fixed=8, start=18, count=4,
-              first_tuple=0, tuple_stride=1)
-    with pytest.raises(LayoutError):
-        translate_run(run, old, new)
-    # Vertical run overrunning the bottom edge.
-    run = Run(subarray=0, vertical=True, fixed=4, start=14, count=4,
-              first_tuple=0, tuple_stride=1)
-    with pytest.raises(LayoutError):
-        translate_run(run, old, new)
-
-
-def test_translate_run_inside_rect_still_translates():
-    old = _placement()
-    new = _placement(bin_index=1, x=0, y=0)
-    run = Run(subarray=0, vertical=False, fixed=9, start=6, count=4,
-              first_tuple=0, tuple_stride=1)
-    moved = translate_run(run, old, new)
-    assert moved.subarray == 1
-    assert moved.count == 4
-    assert (moved.fixed, moved.start) == (1, 2)

@@ -77,7 +77,7 @@ class TestAttachment:
     def test_wear_identity_pins_physmem_coordinates(self):
         """The (rank, bank) split of ``attach_wear_tracker`` must stay the
         inverse of ``PhysicalMemory.subarray_coord`` — a divergence would
-        silently aim the fault injector at the wrong physical cells."""
+        silently attribute wear to the wrong physical cells."""
         memory = make_small_rcnvm()
         tracker = attach_wear_tracker(memory)
         physmem = PhysicalMemory(memory.geometry)

@@ -52,7 +52,7 @@ class TestExamples:
         [
             "quickstart.py",
             "olxp_workload.py",
-            "reliability_and_indexes.py",
+            "endurance_and_indexes.py",
             "plan_explorer.py",
         ],
     )

@@ -103,7 +103,6 @@ class TestConfigs:
         systems = {c.system for c in CONFIGS.values()}
         assert systems == {"DRAM", "GS-DRAM", "RRAM", "RC-NVM"}
         assert any(c.group_lines for c in CONFIGS.values())  # Z-order point
-        assert any(c.ecc for c in CONFIGS.values())
         assert all(c.key == key for key, c in CONFIGS.items())
 
     def test_build_database_honors_config(self):

@@ -189,31 +189,6 @@ class TestCli:
                          (0.04, {"page_policy": "closed"})]
         assert tables[0] != tables[1]
 
-    def test_faults_cli_renders_table(self, capsys, monkeypatch):
-        from repro.harness import cli, reliability
-
-        outcome = reliability.FaultsOutcome(
-            system="RC-NVM", injected=4, singles=3, doubles=1, corrected=3,
-            detected=1, recovered=1, scrub_reads=100, scrub_cycles=5000,
-            resweep_corrected=0, resweep_detected=0, retired_cells=64,
-            wear_imbalance=1.2, queries_verified=4,
-        )
-        seen = {}
-
-        def fake_run_faults(**kwargs):
-            seen.update(kwargs)
-            return [outcome]
-
-        monkeypatch.setattr(reliability, "run_faults", fake_run_faults)
-        assert cli.main(
-            ["faults", "--fault-rate", "0.01", "--seed", "11",
-             "--fault-mode", "hotline"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Fault injection" in out and "RC-NVM" in out
-        assert seen["seed"] == 11 and seen["mode"] == "hotline"
-        assert seen["fault_rate"] == 0.01
-
 
 class TestWearHarness:
     def test_workload_is_update_skewed_and_deterministic(self):

@@ -1,6 +1,7 @@
 """MemorySystem facade: factories, capabilities, routing, statistics."""
 
 import copy
+import dataclasses
 import functools
 from types import SimpleNamespace
 
@@ -259,16 +260,16 @@ SNAPSHOT_GOLDEN_KEYS = frozenset({
     "max_queue_occupancy", "max_bank_queue_occupancy", "latency_hist",
     # fair-share arbitration (multi-tenant serving, repro.serving)
     "cross_stream_bypasses", "stream_rotations", "opportunistic_stream_hits",
-    # reliability (background scrub traffic, repro.reliability.scrub)
-    "scrub_reads", "scrub_cycles",
     # durability (WAL appends + persistence barriers, repro.durability)
     "wal_records", "wal_cells", "persist_barriers", "persist_flush_lines",
-    # the deleted hybrid DRAM tier: derived from the counters above until
-    # a benchmark change re-records the goldens that digest them
+    # the deleted hybrid DRAM tier and scrub scheduler: derived from the
+    # counters above until a benchmark change re-records the goldens that
+    # digest them
     "tier_dram_accesses", "tier_nvm_accesses",
     "tier_dram_hits", "tier_nvm_hits",
     "chunks_promoted", "chunks_demoted",
     "migration_cells", "migration_cycles",
+    "scrub_reads", "scrub_cycles",
     # derived
     "accesses", "buffer_miss_rate", "average_latency",
     "avg_queue_occupancy", "latency_p50", "latency_p95", "latency_p99",
@@ -310,8 +311,11 @@ class TestSnapshotGolden:
         assert snap["tier_nvm_hits"] == snap["buffer_hits"]
         for name in ("tier_dram_accesses", "tier_dram_hits",
                      "chunks_promoted", "chunks_demoted",
-                     "migration_cells", "migration_cycles"):
+                     "migration_cells", "migration_cycles",
+                     "scrub_reads", "scrub_cycles"):
             assert snap[name] == 0, name
+        stat_fields = {f.name for f in dataclasses.fields(MemoryStats)}
+        assert not stat_fields & {"scrub_reads", "scrub_cycles"}
 
     @staticmethod
     def _loaded_db(system):

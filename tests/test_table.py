@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_database, simple_rows
 from repro.errors import LayoutError
 from repro.geometry import SMALL_RCNVM_GEOMETRY
 from repro.imdb.allocator import SubarrayAllocator
@@ -155,3 +156,17 @@ class TestPropertyRoundtrip:
         for i in sample:
             assert table.read_tuple(i) == rows[i]
         assert [int(v) for v in table.field_values("a")] == [r[0] for r in rows]
+
+
+class TestChunkPackedRoundTrip:
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    @pytest.mark.parametrize("rows", [3, 64, 257])
+    def test_chunk_packed_inverts_write(self, layout, rows):
+        db = make_database("RC-NVM")
+        db.create_table("t", [("a", 8), ("b", 8), ("c", 8)], layout=layout)
+        data = simple_rows(rows, 3, seed=9)
+        db.insert_many("t", data)
+        table = db.tables["t"]
+        packed = [table.chunk_packed(chunk) for chunk in table.chunks]
+        flat = [tuple(int(v) for v in row) for part in packed for row in part]
+        assert flat == [tuple(db.tables["t"].schema.pack(r)) for r in data]

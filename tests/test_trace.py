@@ -90,9 +90,3 @@ class TestErrorsHierarchy:
         from repro.errors import ReproError
 
         assert issubclass(TraceFormatError, ReproError)
-
-    def test_ecc_error(self):
-        from repro.errors import ReproError
-        from repro.memsim.ecc import UncorrectableError
-
-        assert issubclass(UncorrectableError, ReproError)

@@ -2,8 +2,8 @@
 
 The cache may only ever change *when* work happens, never *what* comes
 out: a hit must reproduce the exact result and timing a fresh execution
-would, and every way the underlying data can shift — DDL, chunk remaps,
-recovery re-placement, functional writes — must invalidate.  The lattice
+would, and every way the underlying data can shift — DDL, inserts that
+append chunks, functional writes — must invalidate.  The lattice
 test at the bottom runs fuzz-generated workloads through paired cached
 and uncached databases across system configs and demands bit-identical
 results and cycle counts.
@@ -175,30 +175,6 @@ class TestInvalidation:
         assert outcome.result.value == before + 1000
         assert db.template_cache.stats.hits == 0
 
-    def test_chunk_remap_invalidates(self):
-        # Recovery re-placement moves a chunk to a fresh rectangle: the
-        # cached trace addresses the old cells and must die.
-        db = make_cached_db(rows=600)
-        db.enable_reliability()
-        db.execute(SUM_SQL, params={"x": 0})
-        db.execute(SUM_SQL, params={"x": 0})
-        assert db.template_cache.stats.hits == 1
-        table = db.tables["t"]
-        epoch = table.geometry_epoch
-        placement = table.chunks[0].placement
-        event = db.recover_cell(
-            placement.bin_index, placement.y, placement.x
-        )
-        assert event is not None
-        assert table.geometry_epoch > epoch
-        stats = db.template_cache.stats
-        hits_before = stats.hits
-        outcome = db.execute(SUM_SQL, params={"x": 0})
-        assert stats.hits == hits_before  # re-executed against new placement
-        assert stats.invalidations >= 1
-        fresh = make_cached_db(rows=600).execute(SUM_SQL, params={"x": 0})
-        assert outcome.result.value == fresh.result.value
-
 
 def make_durable_cached_db():
     db = make_database("RC-NVM", verify=False)
@@ -317,20 +293,6 @@ class TestPlanMemo:
         assert planned == 1 and outcome.plan.use_index
         assert outcome.result.value == before.result.value
 
-    def test_stands_down_under_ecc_and_counts_it(self):
-        db = make_cached_db()
-        for _ in range(2):
-            db.execute(SUM_SQL, params={"x": 100})
-        stats = db.template_cache.stats
-        assert stats.ecc_replans == 0
-        db.enable_reliability()
-        for count in (1, 2):
-            outcome, parsed, planned = self._planning(db, SUM_SQL, {"x": 100})
-            assert (parsed, planned) == (1, 1)
-            assert stats.ecc_replans == count
-        assert stats.hits == 3  # still served from the cache, after planning
-        assert db.template_cache.stats.snapshot()["ecc_replans"] == 2
-
     def test_unhashable_parameters_still_execute(self):
         db = make_cached_db()
         expected = db.execute(SUM_SQL, params={"x": 100}).result.value
@@ -378,8 +340,8 @@ class TestStatsSurface:
 
 
 #: Lattice cross-section for the on-vs-off sweep: the reference row
-#: config, a column layout, Z-order grouping, and ECC demand checks.
-LATTICE_KEYS = ("dram-row", "rcnvm-col", "rcnvm-col-z", "rcnvm-row-ecc")
+#: config, RC-NVM's row and column layouts, and Z-order grouping.
+LATTICE_KEYS = ("dram-row", "rcnvm-row", "rcnvm-col", "rcnvm-col-z")
 
 
 #: The template cache's counters, which the plan memo must not change.
@@ -428,9 +390,5 @@ def test_fuzz_lattice_templating_on_vs_off(config_key):
         assert [getattr(stats, name) for name in _COUNTERS] == [
             getattr(memoless.template_cache.stats, name) for name in _COUNTERS
         ]
-        if config.ecc:
-            # Under ECC every served statement plans afresh, and counts it.
-            assert stats.ecc_replans >= stats.lookups > 0
-            continue  # demand-check recoveries may legitimately invalidate
         assert stats.lookups == stats.hits + stats.misses + stats.rebinds
         assert stats.hits > 0
